@@ -355,7 +355,30 @@ func runSweep(stdout io.Writer, p *core.Protocol, x core.Input, trials, workers 
 	return nil
 }
 
+// nRanges gives the valid -n range of each protocol whose graph -n sizes.
+// The bounds keep graph construction from panicking or allocating without
+// limit; the ring families go to 4x the DES's million-node scale.
+var nRanges = map[string]struct {
+	lo, hi int
+	what   string
+}{
+	"example1":        {2, 1 << 10, "clique nodes"},
+	"tree-xor":        {3, 62, "ring nodes"},
+	"tree-maj":        {3, 62, "ring nodes"},
+	"slow-ring":       {2, 1 << 22, "ring nodes"},
+	"saturating-ring": {2, 1 << 22, "ring nodes"},
+	"saturating-cube": {0, 20, "hypercube dimension"},
+	"dcounter":        {3, 1 << 22, "ring nodes"},
+}
+
+// buildProtocol validates -n against nRanges before any graph is built, so
+// an out-of-range size is a usage error naming the flag and its valid
+// range rather than a panic.
 func buildProtocol(name string, n int, d, q uint64) (*core.Protocol, [][]graph.NodeID, error) {
+	if rg, ok := nRanges[name]; ok && (n < rg.lo || n > rg.hi) {
+		return nil, nil, fmt.Errorf("-n %d out of range for -protocol %s: want %d..%d (%s)",
+			n, name, rg.lo, rg.hi, rg.what)
+	}
 	switch name {
 	case "example1":
 		p, err := protocols.Example1Clique(n)

@@ -150,3 +150,40 @@ func TestDESRejectsBadWorkloadFlags(t *testing.T) {
 		}
 	}
 }
+
+// Out-of-range -n values must fail with a usage error naming the flag and
+// its valid range — never a panic from graph construction.
+func TestRunRejectsOutOfRangeSizes(t *testing.T) {
+	for _, tc := range []struct {
+		protocol, n, want string
+	}{
+		{"saturating-cube", "40", "want 0..20"},
+		{"saturating-cube", "-1", "want 0..20"},
+		{"saturating-ring", "-1", "want 2..4194304"},
+		{"tree-xor", "2", "want 3..62"},
+		{"tree-maj", "0", "want 3..62"},
+		{"tree-xor", "1000000000", "want 3..62"},
+		{"example1", "100000", "want 2..1024"},
+		{"slow-ring", "1", "want 2..4194304"},
+		{"dcounter", "-5", "want 3..4194304"},
+	} {
+		args := []string{"-protocol", tc.protocol, "-n", tc.n, "-steps", "10"}
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				err = run(args, &bytes.Buffer{})
+			}()
+			if err == nil {
+				t.Fatal("expected a usage error")
+			}
+			if msg := err.Error(); !strings.Contains(msg, "-n "+tc.n) || !strings.Contains(msg, tc.want) {
+				t.Fatalf("error %q does not name -n %s and its range %q", msg, tc.n, tc.want)
+			}
+		})
+	}
+}

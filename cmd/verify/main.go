@@ -87,6 +87,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
+	if err := checkSizes(*name, map[string]int{"n": *n, "rows": *rows, "cols": *cols}); err != nil {
+		return err
+	}
 	var (
 		p      *core.Protocol
 		err    error
@@ -251,6 +254,41 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if dbg != nil && *debugLinger > 0 {
 		fmt.Fprintf(stderr, "debug server lingering %s on http://%s/debug/vars\n", *debugLinger, dbg.Addr())
 		time.Sleep(*debugLinger)
+	}
+	return nil
+}
+
+// sizeFlag is the valid range of one topology size flag.
+type sizeFlag struct {
+	flag   string
+	lo, hi int
+	what   string
+}
+
+// sizeFlags lists, per protocol, the size flags its graph uses. Every upper
+// bound lies far beyond what the exhaustive search can explore (its seed
+// space alone has at least 2^nodes labelings), so no verifiable instance is
+// rejected; the bounds only keep graph construction from panicking or
+// allocating without limit.
+var sizeFlags = map[string][]sizeFlag{
+	"example1":   {{"n", 2, 1 << 10, "clique nodes"}},
+	"ring":       {{"n", 2, 1 << 10, "ring nodes"}},
+	"copy-ring":  {{"n", 2, 1 << 10, "ring nodes"}},
+	"bidir-ring": {{"n", 3, 1 << 10, "ring nodes"}},
+	"cube":       {{"n", 0, 10, "hypercube dimension"}},
+	"bfs-cube":   {{"n", 0, 10, "hypercube dimension"}},
+	"torus":      {{"rows", 1, 32, "torus grid side"}, {"cols", 1, 32, "torus grid side"}},
+}
+
+// checkSizes validates the protocol's size flags before any graph is built,
+// so an out-of-range value is a usage error naming the flag and its valid
+// range rather than a panic.
+func checkSizes(name string, values map[string]int) error {
+	for _, f := range sizeFlags[name] {
+		if v := values[f.flag]; v < f.lo || v > f.hi {
+			return fmt.Errorf("-%s %d out of range for -protocol %s: want %d..%d (%s)",
+				f.flag, v, name, f.lo, f.hi, f.what)
+		}
 	}
 	return nil
 }

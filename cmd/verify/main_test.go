@@ -58,3 +58,41 @@ func TestRunProgress(t *testing.T) {
 		t.Fatalf("progress leaked onto stdout:\n%s", out.String())
 	}
 }
+
+// Out-of-range topology size flags must fail with a usage error naming the
+// flag and its valid range — never a panic from graph construction.
+func TestRunRejectsOutOfRangeSizes(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-protocol", "bidir-ring", "-n", "2"}, "-n 2 out of range for -protocol bidir-ring: want 3..1024"},
+		{[]string{"-protocol", "bidir-ring", "-n", "-3"}, "-n -3 out of range"},
+		{[]string{"-protocol", "torus", "-rows", "0"}, "-rows 0 out of range for -protocol torus: want 1..32"},
+		{[]string{"-protocol", "torus", "-rows", "-2", "-cols", "-2"}, "-rows -2 out of range"},
+		{[]string{"-protocol", "torus", "-cols", "1000"}, "-cols 1000 out of range"},
+		{[]string{"-protocol", "cube", "-n", "40"}, "-n 40 out of range for -protocol cube: want 0..10"},
+		{[]string{"-protocol", "cube", "-n", "-1"}, "-n -1 out of range"},
+		{[]string{"-protocol", "bfs-cube", "-n", "63"}, "-n 63 out of range"},
+		{[]string{"-protocol", "example1", "-n", "100000"}, "-n 100000 out of range"},
+		{[]string{"-protocol", "ring", "-n", "1"}, "want 2..1024"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				err = run(tc.args, &bytes.Buffer{}, &bytes.Buffer{})
+			}()
+			if err == nil {
+				t.Fatal("expected a usage error")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not contain %q", err, tc.want)
+			}
+		})
+	}
+}

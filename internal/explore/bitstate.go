@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"stateless/internal/enc"
@@ -34,9 +35,10 @@ const (
 // back, so Read, Rank and WordsAt panic and the engine carries packed keys
 // in the frontier instead of IDs.
 //
-// All operations are allocation-free and lock-free (atomic Or/Load on the
-// bit words), which is what makes bitstate interning faster than the exact
-// stores.
+// All operations are allocation-free, and the already-visited case — the
+// common one — is lock-free (atomic loads on the bit words), which is what
+// makes bitstate interning faster than the exact stores. Only an intern
+// that finds one of its bits unset takes a striped mutex (see intern).
 type Bitstate struct {
 	words []atomic.Uint64 // the bit array, len = 1<<(log2bits-6)
 	mask  uint64          // bit-index mask, 1<<log2bits - 1
@@ -46,7 +48,12 @@ type Bitstate struct {
 
 	states  atomic.Int64 // fresh Intern answers (admitted states)
 	setBits atomic.Int64 // bits newly set (≤ k·states)
+
+	stripes [1 << bitstateStripeBits]sync.Mutex // see intern
 }
+
+// bitstateStripeBits sets the number of intern mutex stripes.
+const bitstateStripeBits = 10
 
 // minBitstateLog2 keeps the array at least one word long.
 const minBitstateLog2 = 6
@@ -102,15 +109,24 @@ func remix(h uint64) uint64 {
 }
 
 // intern sets the k bits for key and reports whether any was newly set.
-// The set-bit is an explicit Load + CompareAndSwap loop rather than
-// atomic.Uint64.Or: the toolchain pinned in this repo (go1.24.0)
-// miscompiles the Or intrinsic when its result is consumed (the receiver
-// register is clobbered by the fallback CAS loop), and the Load fast path
-// is what the hot already-visited case executes anyway.
+// A key whose bits are all set is answered lock-free. Otherwise the bits
+// are set under the key's stripe mutex: without it, two workers racing on
+// the same unseen state could each set one of its bits and both answer
+// fresh, admitting (and expanding) the state twice. Keys of other stripes
+// may share bit words, so the set-bit stays atomic. It is an explicit
+// Load + CompareAndSwap loop rather than atomic.Uint64.Or: the toolchain
+// pinned in this repo (go1.24.0) miscompiles the Or intrinsic when its
+// result is consumed (the receiver register is clobbered by the fallback
+// CAS loop).
 func (b *Bitstate) intern(key []uint64) bool {
 	h1 := enc.Hash(key)
 	h2 := remix(h1) | 1 // odd stride visits every bit of the 2^m array
-	fresh := false
+	if b.allSet(h1, h2) {
+		return false // visited, or a collision
+	}
+	mu := &b.stripes[h1>>(64-bitstateStripeBits)]
+	mu.Lock()
+	defer mu.Unlock()
 	newBits := int64(0)
 	for i := 0; i < b.k; i++ {
 		pos := (h1 + uint64(i)*h2) & b.mask
@@ -119,22 +135,31 @@ func (b *Bitstate) intern(key []uint64) bool {
 		for {
 			old := w.Load()
 			if old&bit != 0 {
-				break // already set (by us or a collision)
+				break // already set (by a collision)
 			}
 			if w.CompareAndSwap(old, old|bit) {
-				fresh = true
 				newBits++
 				break
 			}
 		}
 	}
-	if newBits > 0 {
-		b.setBits.Add(newBits)
+	if newBits == 0 {
+		return false // a racing intern of the same key got here first
 	}
-	if fresh {
-		b.states.Add(1)
+	b.setBits.Add(newBits)
+	b.states.Add(1)
+	return true
+}
+
+// allSet reports whether all k bits of the key hashing to (h1, h2) are set.
+func (b *Bitstate) allSet(h1, h2 uint64) bool {
+	for i := 0; i < b.k; i++ {
+		pos := (h1 + uint64(i)*h2) & b.mask
+		if b.words[pos>>6].Load()&(1<<(pos&63)) == 0 {
+			return false
+		}
 	}
-	return fresh
+	return true
 }
 
 // Intern records key in the visited set. The returned ID is always 0:

@@ -5,6 +5,8 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -358,3 +360,28 @@ func TestBitstateHashDispersion(t *testing.T) {
 // jsonMarshal isolates the test's manifest encoding from the checkpoint
 // writer's (which is exercised end to end in internal/verify).
 func jsonMarshal(m *Manifest) ([]byte, error) { return json.Marshal(m) }
+
+// TestBitstateConcurrentSingleAdmission races workers interning the same
+// keys: each key must be admitted exactly once (one fresh answer in
+// total), never once per worker that set one of its bits.
+func TestBitstateConcurrentSingleAdmission(t *testing.T) {
+	const keys, workers = 20000, 4
+	b := NewBitstate(1, 26, 3) // hash factor ~3400: a collision is a ~1e-5 event
+	var fresh atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := uint64(0); k < keys; k++ {
+				if _, f, _ := b.Intern([]uint64{k}); f {
+					fresh.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := fresh.Load(); got != keys || b.Len() != keys {
+		t.Fatalf("%d fresh answers, Len %d; want %d each", got, b.Len(), keys)
+	}
+}

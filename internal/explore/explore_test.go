@@ -762,3 +762,21 @@ func FuzzBatchPackCanonRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// TestStoreIDsNonNegative pins the Store ID contract the verifier's edge
+// log relies on: every exact-store ID leaves bit 31 clear. The largest
+// dense key (DenseMaxBits bits) and the largest hash ID (the last local
+// index in the last shard) both stay below 2^31.
+func TestStoreIDsNonNegative(t *testing.T) {
+	if maxDense := uint64(1)<<DenseMaxBits - 1; maxDense >= 1<<31 {
+		t.Fatalf("largest dense ID %#x reaches bit 31", maxDense)
+	}
+	if maxHash := uint64(maxLocalID)<<shardBits | (1<<shardBits - 1); maxHash >= 1<<31 {
+		t.Fatalf("largest hash ID %#x reaches bit 31", maxHash)
+	}
+	d := NewDense(20)
+	id, _, err := d.Intern([]uint64{1<<20 - 1})
+	if err != nil || id != 1<<20-1 {
+		t.Fatalf("dense ID of the largest 20-bit key: %d, %v", id, err)
+	}
+}

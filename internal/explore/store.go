@@ -86,6 +86,12 @@ func (s StoreStats) Occupancy() float64 {
 // IDs are stable but arbitrary (the dense store uses the packed value
 // itself, the hash store a shard-encoded index); Compact freezes the store
 // and exposes a dense 0-based ranking for post-exploration graph analysis.
+//
+// IDs are always non-negative int32 values: a dense key has at most
+// DenseMaxBits = 30 bits, and a hash ID is at most maxLocalID<<shardBits |
+// (2^shardBits − 1) < 2^31 (a shard growing past maxLocalID is an ErrLimit
+// overflow, not a wrapped ID). Callers may therefore use bit 31 of an ID
+// as a flag — the verifier's edge log does.
 type Store interface {
 	// Words returns the number of uint64 words per key.
 	Words() int

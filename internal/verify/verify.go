@@ -169,12 +169,14 @@ type Options struct {
 	// and stage timers (explore/*, store/* — see explore.Config.Metrics),
 	// plus the verifier's own sections: sampled timers for the expansion
 	// sub-stages (verify/step_ns, verify/pack_ns, verify/canonicalize_ns),
-	// analysis-phase wall totals (verify/rank_ns, verify/csr_ns,
-	// verify/scc_ns, verify/witness_ns), and structural gauges
-	// (verify/edges, verify/sccs, verify/violating_sccs, verify/quotient,
-	// verify/states). Attaching a registry never changes the verdict,
-	// witness, or state count; leaving it nil — the default — keeps the
-	// hot path free of measurement work.
+	// analysis-phase wall totals (verify/rank_ns: the in-place pass that
+	// rewrites the edge log's store IDs to ranks and fills the row index;
+	// verify/csr_ns: allocating that row index — the log itself serves as
+	// the CSR, so nothing is copied; verify/scc_ns; verify/witness_ns), and
+	// structural gauges (verify/edges, verify/sccs, verify/violating_sccs,
+	// verify/quotient, verify/states). Attaching a registry never changes
+	// the verdict, witness, or state count; leaving it nil — the default —
+	// keeps the hot path free of measurement work.
 	Metrics *obs.Registry
 }
 
@@ -315,17 +317,30 @@ func tooMany(size uint64, m, limit int) bool {
 // ---------------------------------------------------------------------------
 // States-graph exploration on the internal/explore engine.
 
-// stateEdge is one states-graph transition in store IDs. changed records
-// whether the compared section (labels, or outputs when checking output
-// stabilization) differs between the source state and its *raw* successor
-// — i.e. before the successor is canonicalized under symmetry quotienting.
-// This makes the violation criterion exact under the quotient: a real
-// oscillation that only rotates a labeling around a ring still flips
-// changed, even though source and canonical successor coincide.
-type stateEdge struct {
-	src, dst int32
-	changed  bool
-}
+// Edge-log entries. Each worker logs the out-edges of every state it
+// expands as one run of int32 entries in its current chunk, preceded by a
+// two-entry row header (source store ID, run length); a run never straddles
+// chunks. A run entry is the successor's store ID — store IDs are
+// non-negative int32 (see explore.Store) — with edgeChanged set when the
+// compared section (labels, or outputs when checking output stabilization)
+// differs between the source state and its *raw* successor, i.e. before
+// the successor is canonicalized under symmetry quotienting. This makes the
+// violation criterion exact under the quotient: a real oscillation that
+// only rotates a labeling around a ring still flips the bit, even though
+// source and canonical successor coincide. After exploration the analysis
+// rewrites the IDs to ranks in place, and the runs themselves serve as the
+// rows of the states-graph: the log is the CSR, no copy is made.
+const (
+	edgeChanged int32 = math.MinInt32 // bit 31: section changed along the edge
+	edgeDst     int32 = math.MaxInt32 // the successor's ID (later: rank)
+	rowHeader         = 2             // entries before each run: source ID, length
+)
+
+// edgeChunk is the edge-log chunk size in entries (256 KiB); a run longer
+// than a chunk gets a dedicated chunk of its own. Growing by whole chunks
+// means the log never copies. A variable so tests can force multi-chunk
+// logs on small instances.
+var edgeChunk = 1 << 16
 
 // explorer holds the shared state of one states-graph search.
 type explorer struct {
@@ -439,10 +454,9 @@ type expander struct {
 	raw     []uint64
 	lossy   bool     // bitstate mode: no edge log, on-the-fly self-loop check
 	src     []uint64 // lossy mode: the expanded source state (for Absorb)
-	// edges is the worker's transition log, stored in fixed-size chunks so
-	// growth never copies: the states-graph has tens of edges per state,
-	// and reallocation memmove was a visible slice of the profile.
-	edges [][]stateEdge
+	// log is the worker's edge log (see edgeChanged): chunks of row
+	// headers and out-edge runs, one run per expanded state.
+	log [][]int32
 
 	// Stage telemetry (nil without Options.Metrics): sampled stopwatches
 	// over the expansion sub-stages, flushed once after the engine joins
@@ -744,30 +758,31 @@ func (ex *expander) finish(words []uint64, b *explore.Batch, block []uint64, cou
 	}
 }
 
-// edgeChunk is the edge-log chunk size (3/4 MiB of stateEdges).
-const edgeChunk = 1 << 16
-
-// Absorb records one transition per successor once the engine has interned
-// the batch and filled in the store IDs. In bitstate mode there is no edge
-// log; instead Absorb runs the on-the-fly violation check.
+// Absorb appends the expanded state's out-edge run to the worker's edge
+// log once the engine has interned the batch and filled in the store IDs.
+// The engine expands every state exactly once and absorbs its whole
+// successor block in one call, so each state owns exactly one run. In
+// bitstate mode there is no edge log; instead Absorb runs the on-the-fly
+// violation check.
 func (ex *expander) Absorb(id int32, b *explore.Batch) error {
 	ex.edgeCount.Add(int64(len(b.IDs)))
 	if ex.lossy {
 		return ex.absorbLossy(b)
 	}
-	if len(ex.edges) == 0 {
-		ex.edges = append(ex.edges, make([]stateEdge, 0, edgeChunk))
+	need := rowHeader + len(b.IDs)
+	last := len(ex.log) - 1
+	if last < 0 || cap(ex.log[last])-len(ex.log[last]) < need {
+		ex.log = append(ex.log, make([]int32, 0, max(edgeChunk, need)))
+		last++
 	}
-	cur := ex.edges[len(ex.edges)-1]
+	c := append(ex.log[last], id, int32(len(b.IDs)))
 	for i, dst := range b.IDs {
-		if len(cur) == cap(cur) {
-			ex.edges[len(ex.edges)-1] = cur
-			cur = make([]stateEdge, 0, edgeChunk)
-			ex.edges = append(ex.edges, cur)
+		if ex.changed[i] {
+			dst |= edgeChanged
 		}
-		cur = append(cur, stateEdge{src: id, dst: dst, changed: ex.changed[i]})
+		c = append(c, dst)
 	}
-	ex.edges[len(ex.edges)-1] = cur
+	ex.log[last] = c
 	return nil
 }
 
@@ -1000,74 +1015,42 @@ func (e *explorer) flushStageClocks() {
 	}
 }
 
-// csr is the explored states-graph in compressed sparse row form, over
-// compacted (rank) state IDs.
-type csr struct {
-	rowStart []int32
-	dst      []int32
-}
-
-// edgeChunks collects every worker's edge-log chunks.
-func (e *explorer) edgeChunks() [][]stateEdge {
-	var chunks [][]stateEdge
+// rankRows rewrites every logged successor ID to its rank in place,
+// keeping the edgeChanged bit, and indexes the runs by source rank: the
+// result's row v aliases state v's run in the log. Chunks fan out over the
+// worker pool; each state owns one run, so no two chunks write the same
+// row. Ranking once up front means the SCC stage, the violating-SCC scan,
+// and the witness pass index comp directly instead of paying a Store.Rank
+// per edge visit (for the dense store that is a popcount plus two
+// dependent loads — it dominated the analysis-phase profile).
+func (e *explorer) rankRows(rows [][]int32) {
+	var chunks [][]int32
 	for _, ex := range e.expanders {
 		if ex != nil {
-			chunks = append(chunks, ex.edges...)
+			chunks = append(chunks, ex.log...)
 		}
 	}
-	return chunks
-}
-
-// rankEdges rewrites every recorded edge's endpoints from store IDs to
-// dense ranks, fanning the chunks out over the worker pool. Doing this
-// once up front means the CSR build, the violating-SCC scan, and the
-// witness pass all index comp/rowStart directly instead of paying a
-// Store.Rank per edge visit (for the dense store that is a popcount plus
-// two dependent loads — it dominated the analysis-phase profile).
-func (e *explorer) rankEdges(chunks [][]stateEdge) {
 	par.ForEach(len(chunks), e.workers, func(i int) error {
 		c := chunks[i]
-		for j := range c {
-			c[j].src = e.store.Rank(c[j].src)
-			c[j].dst = e.store.Rank(c[j].dst)
+		for at := 0; at < len(c); {
+			src, n := c[at], int(c[at+1])
+			at += rowHeader
+			row := c[at : at+n : at+n]
+			for j, d := range row {
+				row[j] = d&edgeChanged | e.store.Rank(d&edgeDst)
+			}
+			rows[e.store.Rank(src)] = row
+			at += n
 		}
 		return nil
 	})
 }
 
-// buildCSR assembles the states-graph over rank IDs (rankEdges first).
-func (e *explorer) buildCSR(total int, chunks [][]stateEdge) csr {
-	nEdges := 0
-	for _, c := range chunks {
-		nEdges += len(c)
-	}
-	rowStart := make([]int32, total+1)
-	for _, c := range chunks {
-		for _, ed := range c {
-			rowStart[ed.src+1]++
-		}
-	}
-	for i := 0; i < total; i++ {
-		rowStart[i+1] += rowStart[i]
-	}
-	dst := make([]int32, nEdges)
-	fill := make([]int32, total)
-	for _, c := range chunks {
-		for _, ed := range c {
-			dst[rowStart[ed.src]+fill[ed.src]] = ed.dst
-			fill[ed.src]++
-		}
-	}
-	return csr{rowStart: rowStart, dst: dst}
-}
-
-func (g csr) row(v int32) []int32 { return g.dst[g.rowStart[v]:g.rowStart[v+1]] }
-
-// sccs runs iterative Tarjan over the CSR graph and returns the component
-// index of every state plus the component count.
-func (g csr) sccs() ([]int32, int) {
+// sccs runs iterative Tarjan over the ranked rows (rankRows) and returns
+// the component index of every state plus the component count.
+func sccs(rows [][]int32) ([]int32, int) {
 	const unvisited = -1
-	nStates := len(g.rowStart) - 1
+	nStates := len(rows)
 	index := make([]int32, nStates)
 	low := make([]int32, nStates)
 	comp := make([]int32, nStates)
@@ -1095,9 +1078,9 @@ func (g csr) sccs() ([]int32, int) {
 		onStack[start] = true
 		for len(callStack) > 0 {
 			f := &callStack[len(callStack)-1]
-			row := g.row(f.v)
+			row := rows[f.v]
 			if int(f.next) < len(row) {
-				u := row[f.next]
+				u := row[f.next] & edgeDst
 				f.next++
 				if index[u] == unvisited {
 					index[u], low[u] = counter, counter
@@ -1199,36 +1182,20 @@ func stabilization(p *core.Protocol, x core.Input, r int, trackOutputs bool, opt
 	}
 	m := opts.Metrics
 	total := e.store.Compact()
-	chunks := e.edgeChunks()
 	// Analysis-phase timings are single measurements per run, so they use
 	// plain wall clocks rather than the hot path's sampled stopwatches.
 	t0 := time.Now()
-	e.rankEdges(chunks)
+	rows := make([][]int32, total)
 	t1 := time.Now()
-	sg := e.buildCSR(total, chunks)
+	e.rankRows(rows)
 	t2 := time.Now()
-	comp, nComps := sg.sccs()
+	comp, nComps := sccs(rows)
 	t3 := time.Now()
-	m.Gauge(MetricRankNs).Set(int64(t1.Sub(t0)))
-	m.Gauge(MetricCSRNs).Set(int64(t2.Sub(t1)))
+	m.Gauge(MetricCSRNs).Set(int64(t1.Sub(t0)))
+	m.Gauge(MetricRankNs).Set(int64(t2.Sub(t1)))
 	m.Gauge(MetricSCCNs).Set(int64(t3.Sub(t2)))
 	m.Gauge(MetricSCCs).Set(int64(nComps))
-
-	// A violating SCC contains an internal section-changing transition.
-	violating := make([]bool, nComps)
-	nViolating := 0
-	for _, c := range chunks {
-		for _, ed := range c {
-			if !ed.changed {
-				continue
-			}
-			cc := comp[ed.src]
-			if cc == comp[ed.dst] && !violating[cc] {
-				violating[cc] = true
-				nViolating++
-			}
-		}
-	}
+	violating, nViolating := violatingSCCs(rows, comp, nComps)
 	m.Gauge(MetricViolatingSCCs).Set(int64(nViolating))
 	m.Gauge(MetricQuotient).Set(int64(e.sym.Order()))
 	m.Gauge(MetricStates).Set(int64(total))
@@ -1246,8 +1213,30 @@ func stabilization(p *core.Protocol, x core.Input, r int, trackOutputs bool, opt
 	return dec, nil
 }
 
+// violatingSCCs marks the components that contain an internal
+// section-changing transition (see the violation criterion at
+// stabilization) and counts them.
+func violatingSCCs(rows [][]int32, comp []int32, nComps int) ([]bool, int) {
+	violating := make([]bool, nComps)
+	n := 0
+	for v, row := range rows {
+		cc := comp[v]
+		if violating[cc] {
+			continue
+		}
+		for _, d := range row {
+			if d < 0 && comp[d&edgeDst] == cc {
+				violating[cc] = true
+				n++
+				break
+			}
+		}
+	}
+	return violating, n
+}
+
 // lossyDecision assembles the verdict of a bitstate run: the graph
-// analysis of exact mode (rank → CSR → SCC) never runs — the lossy store
+// analysis of exact mode (rank → rows → SCC) never runs — the lossy store
 // cannot reproduce states and no edge log exists — so the decision is
 // either the on-the-fly violation (exact witness) or "no violation found".
 // The schema-required verify gauges are still published, zeroed where the
