@@ -20,9 +20,11 @@
 //	verify -protocol torus -rows 3 -cols 3 -r 2
 //	verify -protocol bfs-cube -n 2 -sigma 3 -r 2
 //
-// Spin-class capacity mode — lossy bitstate search with disk spilling and
-// kill-safe checkpoints (see README "Store selection"):
+// Spin-class capacity mode — frontier spilling for any store, lossy
+// bitstate search, and kill-safe bitstate checkpoints (see README "Store
+// selection"):
 //
+//	verify -protocol ring -n 10 -sigma 3 -r 2 -store hash -spill-mem 1000000 -spill-dir /tmp/sp
 //	verify -protocol ring -n 10 -sigma 3 -r 2 -store bitstate -bits 28
 //	verify -protocol ring -n 12 -store bitstate -spill-mem 64000000 -spill-dir /tmp/sp
 //	verify -protocol ring -n 12 -store bitstate -checkpoint /tmp/ck
@@ -69,8 +71,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		store       = fs.String("store", "auto", "visited-state store: auto | dense | hash | bitstate (lossy)")
 		bits        = fs.Int("bits", verify.DefaultBitstateBits, "bitstate: log2 bit capacity of the Bloom array")
 		bitstateK   = fs.Int("bitstate-k", verify.DefaultBitstateK, "bitstate: hash functions per state")
-		spillMem    = fs.Int64("spill-mem", 0, "bitstate: frontier memory budget in bytes before spilling to disk (0 = never)")
-		spillDir    = fs.String("spill-dir", "", "bitstate: directory for spilled frontier chunks")
+		spillMem    = fs.Int64("spill-mem", 0, "frontier memory budget in bytes before spilling to disk (0 = never)")
+		spillDir    = fs.String("spill-dir", "", "directory for spilled frontier chunks")
 		checkpoint  = fs.String("checkpoint", "", "bitstate: write periodic atomic checkpoints to this directory")
 		ckInterval  = fs.Duration("checkpoint-interval", 30*time.Second, "gap between checkpoints")
 		resume      = fs.Bool("resume", false, "resume from the -checkpoint directory's manifest")

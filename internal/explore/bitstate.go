@@ -32,8 +32,8 @@ const (
 // transition relation, not the store.
 //
 // The store is lossy (Lossy() == true): interned states cannot be read
-// back, so Read, Rank and WordsAt panic and the engine carries packed keys
-// in the frontier instead of IDs.
+// back, so Rank and WordsAt panic; the engine's frontier carries every
+// state's packed key, so exploration never needs them.
 //
 // All operations are allocation-free, and the already-visited case — the
 // common one — is lock-free (atomic loads on the bit words), which is what
@@ -177,11 +177,6 @@ func (b *Bitstate) InternBatch(block []uint64, ids []int32, fresh []bool) error 
 		fresh[i] = b.intern(block[i*b.wpk : (i+1)*b.wpk])
 	}
 	return nil
-}
-
-// Read is unavailable on a lossy store and panics.
-func (b *Bitstate) Read(int32, []uint64) []uint64 {
-	panic("explore: Read on bitstate store (lossy: states are not recoverable)")
 }
 
 // Len returns the number of admitted (fresh) states.

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -77,7 +78,6 @@ func TestBitstateLossyAccessorsPanic(t *testing.T) {
 	b := NewBitstate(1, 10, 2)
 	b.Intern([]uint64{7})
 	for name, call := range map[string]func(){
-		"Read":    func() { b.Read(0, nil) },
 		"Rank":    func() { b.Rank(0) },
 		"WordsAt": func() { b.WordsAt(0, nil) },
 	} {
@@ -165,7 +165,8 @@ func TestBitstateClamping(t *testing.T) {
 
 func TestKeyQueueSpillFIFO(t *testing.T) {
 	// A budget small enough to force several spills must preserve global
-	// FIFO order: head → chunks in write order → tail.
+	// FIFO order (head → chunks in write order → tail) and round-trip each
+	// entry's store ID and depth through the chunk files.
 	dir := t.TempDir()
 	const wpk, n = 2, 500
 	// stride = 3 words; budget of 30 words spills the tail at ≥ 15 words
@@ -175,7 +176,7 @@ func TestKeyQueueSpillFIFO(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < n; i++ {
-		if err := q.push([]uint64{i, i * 3}, int32(i%7)); err != nil {
+		if err := q.push([]uint64{i, i * 3}, int32(i), int32(i%7)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,18 +188,19 @@ func TestKeyQueueSpillFIFO(t *testing.T) {
 		t.Fatalf("depth = %d, want %d", q.depth(), n)
 	}
 
-	keys := make([]uint64, keyPopBlock*wpk)
-	depths := make([]int32, keyPopBlock)
+	keys := make([]uint64, popBlockSize*wpk)
+	ids := make([]int32, popBlockSize)
+	depths := make([]int32, popBlockSize)
 	var next uint64
 	for next < n {
-		got := q.popBlock(keys, depths)
+		got := q.popBlock(keys, ids, depths)
 		if got == 0 {
 			t.Fatalf("popBlock drained at %d/%d", next, n)
 		}
 		for i := 0; i < got; i++ {
 			k := keys[i*wpk : (i+1)*wpk]
-			if k[0] != next || k[1] != next*3 || depths[i] != int32(next%7) {
-				t.Fatalf("entry %d popped as key=%v depth=%d", next, k, depths[i])
+			if k[0] != next || k[1] != next*3 || ids[i] != int32(next) || depths[i] != int32(next%7) {
+				t.Fatalf("entry %d popped as key=%v id=%d depth=%d", next, k, ids[i], depths[i])
 			}
 			next++
 		}
@@ -207,7 +209,7 @@ func TestKeyQueueSpillFIFO(t *testing.T) {
 	if _, _, loads := q.spillStats(); loads == 0 {
 		t.Fatal("draining never streamed a chunk back")
 	}
-	if got := q.popBlock(keys, depths); got != 0 {
+	if got := q.popBlock(keys, ids, depths); got != 0 {
 		t.Fatalf("popBlock after drain = %d, want 0", got)
 	}
 	q.cleanup()
@@ -294,6 +296,48 @@ func TestManifestRoundTrip(t *testing.T) {
 	// A missing manifest is a distinguishable not-exist error.
 	if _, err := LoadManifest(t.TempDir()); !os.IsNotExist(err) {
 		t.Fatalf("missing manifest error = %v, want not-exist", err)
+	}
+}
+
+// TestResumeRejectsCorruptChunkEntries resumes from a checkpoint whose
+// single frontier chunk holds an out-of-range entry head word. The run
+// must fail with an error naming the chunk file: unchecked, a negative
+// depth indexes the depth counts out of range in a worker (a panic) and a
+// huge positive one grows them without bound.
+func TestResumeRejectsCorruptChunkEntries(t *testing.T) {
+	for name, head := range map[string]uint64{
+		"negative depth":    1 << 31,
+		"depth past counts": 1 << 30,
+		"negative id":       1 << 63,
+	} {
+		dir := t.TempDir()
+		bs := NewBitstate(1, 10, 2)
+		if err := writeWordsFile(filepath.Join(dir, "bits-000000.bin"), make([]uint64, bs.Bits()>>6)); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeWordsFile(filepath.Join(dir, "chunk-000001.bin"), []uint64{head, 5}); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := jsonMarshal(&Manifest{
+			Version: 1, Tag: "corrupt", WordsPerKey: 1, Log2Bits: 10, K: 2,
+			States: 1, DepthCounts: []int64{1}, BitsFile: "bits-000000.bin",
+			Chunks: []ManifestChunk{{File: "chunk-000001.bin", Entries: 1}}, Seq: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := atomicWriteFile(filepath.Join(dir, manifestName), raw); err != nil {
+			t.Fatal(err)
+		}
+		err = Run(Config{
+			Store: bs, Workers: 1, CheckpointDir: dir, CheckpointTag: "corrupt", Resume: true,
+			NewExpander: func(int) Expander {
+				return &countingExpander{n: 16, mu: &sync.Mutex{}, expanded: map[uint64]int{}}
+			},
+		})
+		if err == nil || !strings.Contains(err.Error(), "chunk-000001.bin") {
+			t.Fatalf("%s: resume error = %v, want one naming chunk-000001.bin", name, err)
+		}
 	}
 }
 

@@ -25,14 +25,15 @@ const (
 const manifestName = "manifest.json"
 
 // ManifestChunk is one frontier chunk referenced by a checkpoint: a file
-// of Entries packed (depth, key) records in the checkpoint directory.
+// of Entries packed (depth, key) records in the checkpoint directory (the
+// frontier's entry layout with the always-0 bitstate ID).
 type ManifestChunk struct {
 	File    string `json:"file"`
 	Entries int64  `json:"entries"`
 }
 
 // Manifest is a checkpoint's metadata: everything needed to resume an
-// interrupted keys-mode (bitstate) exploration to the identical verdict.
+// interrupted bitstate exploration to the identical verdict.
 // The visited bit array lives in BitsFile; the pending frontier is the
 // concatenation of Chunks in order (oldest entries first, preserving BFS
 // depth order); counters restore the engine's progress accounting; Extra
@@ -83,13 +84,13 @@ func LoadManifest(dir string) (*Manifest, error) {
 	return &m, nil
 }
 
-// writeCheckpoint captures a consistent cut of a keys-mode run: it pauses
+// writeCheckpoint captures a consistent cut of a bitstate run: it pauses
 // the frontier (waiting out in-flight expansions), writes the bit array
 // and the in-memory frontier buffers as fsynced files, atomically flips
 // the manifest, and then deletes files only the previous manifest pinned.
 // Returns the total bytes written.
 func (r *run) writeCheckpoint() (int64, error) {
-	q := r.kq
+	q := r.q
 	if err := q.pause(); err != nil {
 		return 0, err
 	}
@@ -194,7 +195,7 @@ func (r *run) writeCheckpoint() (int64, error) {
 // in the checkpoint directory. The run must be configured identically to
 // the checkpointed one (enforced via Tag and the store geometry).
 func (r *run) restoreFromCheckpoint() error {
-	q := r.kq
+	q := r.q
 	m, err := LoadManifest(q.dir)
 	if err != nil {
 		return fmt.Errorf("explore: resume: %w", err)

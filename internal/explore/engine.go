@@ -33,8 +33,8 @@ type Batch struct {
 	count int
 	keys  []uint64
 	// IDs and Fresh are valid from the engine's intern pass until the next
-	// Reset: IDs[i] is the store ID of key i, Fresh[i] whether this batch
-	// interned it first.
+	// Reset: IDs[i] is the store ID of key i (always 0 for a lossy store),
+	// Fresh[i] whether this batch interned it first.
 	IDs   []int32
 	Fresh []bool
 }
@@ -88,9 +88,11 @@ func (b *Batch) Block() []uint64 { return b.keys[:b.count*b.wpk] }
 // Expander expands states in batches. One Expander is created per worker,
 // so implementations may keep scratch buffers without locking.
 type Expander interface {
-	// Expand appends every successor key of the state (id, words) to the
-	// batch (Alloc for block fills, Append for one-at-a-time). The batch
-	// arrives Reset; the engine interns its keys afterwards.
+	// Expand appends every successor key of the state to the batch (Alloc
+	// for block fills, Append for one-at-a-time). words is the state's
+	// packed key as carried by the frontier; id is its store ID (always 0
+	// for a lossy store). The batch arrives Reset; the engine interns its
+	// keys afterwards.
 	Expand(id int32, words []uint64, b *Batch) error
 	// Absorb runs after the engine has interned the batch: b.IDs and
 	// b.Fresh hold each key's store ID and freshness, index-aligned with
@@ -155,16 +157,15 @@ type Config struct {
 	Progress func(Progress)
 	// ProgressInterval is the sampling period (≤ 0 means 1s).
 	ProgressInterval time.Duration
-	// FrontierMemBytes caps the in-memory frontier in keys mode (lossy
-	// store): once the push-side buffer exceeds half the budget it is
-	// flushed to a sequential chunk file in SpillDir and streamed back in
-	// depth order when the pop side drains. ≤ 0 disables spilling. Ignored
-	// by exact stores, whose frontier holds 4-byte IDs and does not spill.
+	// FrontierMemBytes caps the in-memory frontier: once the push-side
+	// buffer exceeds half the budget it is flushed to a sequential chunk
+	// file in SpillDir and streamed back in depth order when the pop side
+	// drains. ≤ 0 disables spilling. Applies to every store.
 	FrontierMemBytes int64
 	// SpillDir is where frontier chunks live. Required when
 	// FrontierMemBytes > 0; defaults to CheckpointDir when checkpointing.
 	SpillDir string
-	// CheckpointDir enables periodic checkpoints of a keys-mode run:
+	// CheckpointDir enables periodic checkpoints of a bitstate run:
 	// visited bit array + pending frontier + counters, committed by an
 	// atomic manifest rename, so a killed run resumes (Resume) to the
 	// identical verdict. Requires a lossy (bitstate) store.
@@ -225,29 +226,18 @@ const popBlockSize = 64
 // time.Now calls per 64 states.
 const clockSampleEvery = 64
 
-// frontierStats is the read side shared by the exact-mode ID queue and
-// the keys-mode spillable queue (metrics and progress snapshots).
-type frontierStats interface {
-	depth() int
-	maxDepth() int
-	depthCountsCopy() []int64
-}
-
-// run is the engine's shared mutable state. Exactly one of queue (exact
-// mode: the frontier holds store IDs) and kq (keys mode: the store is
-// lossy, so the frontier carries the packed keys themselves and may spill
-// to disk) is non-nil.
+// run is the engine's shared mutable state. The frontier q carries each
+// state's packed key alongside its store ID, so a state is expanded from
+// the queue entry itself and never read back from the store.
 type run struct {
 	cfg      Config
-	queue    *workQueue // exact mode
-	kq       *keyQueue  // keys mode
-	front    frontierStats
+	q        *keyQueue
 	total    atomic.Int64 // distinct states interned
 	expanded atomic.Int64 // states fully expanded
 	start    time.Time
 	fill     *obs.Histogram // nil when no registry
 
-	// checkpoint telemetry (keys mode with CheckpointDir)
+	// checkpoint telemetry (lossy store with CheckpointDir)
 	checkpoints     atomic.Int64
 	checkpointBytes atomic.Int64
 }
@@ -256,52 +246,15 @@ type run struct {
 // emitted during expansion are interned exactly once, and every fresh state
 // is expanded exactly once. With an exact store the visited set — and
 // therefore the verdict of any analysis over it — is independent of worker
-// count, scheduling, and batch granularity; with a lossy (bitstate) store
-// the admitted set can additionally depend on hash collisions, so it is a
-// sound under-approximation (never invents states) rather than exact.
+// count, scheduling, batch granularity and spilling; with a lossy
+// (bitstate) store the admitted set can additionally depend on hash
+// collisions, so it is a sound under-approximation (never invents states)
+// rather than exact. The frontier spills to disk past FrontierMemBytes for
+// every store; checkpointing is available only for lossy stores.
 func Run(cfg Config) error {
-	if cfg.Store.Lossy() {
-		return runKeys(cfg)
-	}
-	if cfg.CheckpointDir != "" || cfg.Resume {
+	if (cfg.CheckpointDir != "" || cfg.Resume) && !cfg.Store.Lossy() {
 		return fmt.Errorf("explore: checkpoint/resume requires a lossy (bitstate) store")
 	}
-	r := &run{cfg: cfg, queue: newWorkQueue(), start: time.Now()}
-	r.front = r.queue
-	r.registerMetrics()
-	if cfg.Progress != nil {
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		go r.sampleProgress(stop, done)
-		defer func() {
-			close(stop)
-			<-done
-			cfg.Progress(r.snapshot()) // final totals
-		}()
-	}
-	if err := r.canceled(); err != nil {
-		return err
-	}
-	if err := cfg.Seed(r.emit); err != nil {
-		return err
-	}
-	workers := par.Workers(cfg.Workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go r.worker(w, &wg)
-	}
-	wg.Wait()
-	if m := cfg.Metrics; m != nil {
-		m.Series(MetricFrontierByDepth).SetFrom(r.queue.depthCountsCopy())
-	}
-	return r.queue.failure()
-}
-
-// runKeys is Run for lossy stores: the frontier carries packed keys
-// (states are not recoverable from the store), spills to disk past the
-// memory budget, and periodically checkpoints when configured.
-func runKeys(cfg Config) error {
 	dir := cfg.SpillDir
 	if cfg.CheckpointDir != "" {
 		if dir != "" && dir != cfg.CheckpointDir {
@@ -309,13 +262,12 @@ func runKeys(cfg Config) error {
 		}
 		dir = cfg.CheckpointDir
 	}
-	kq, err := newKeyQueue(cfg.Store.Words(), cfg.FrontierMemBytes, dir)
+	q, err := newKeyQueue(cfg.Store.Words(), cfg.FrontierMemBytes, dir)
 	if err != nil {
 		return err
 	}
-	r := &run{cfg: cfg, kq: kq, start: time.Now()}
-	r.front = kq
-	defer kq.cleanup()
+	defer q.cleanup()
+	r := &run{cfg: cfg, q: q, start: time.Now()}
 	r.registerMetrics()
 	if cfg.Progress != nil {
 		stop := make(chan struct{})
@@ -334,7 +286,7 @@ func runKeys(cfg Config) error {
 		if err := r.restoreFromCheckpoint(); err != nil {
 			return err
 		}
-	} else if err := cfg.Seed(r.emitKey); err != nil {
+	} else if err := cfg.Seed(r.emit); err != nil {
 		return err
 	}
 	var ckStop, ckDone chan struct{}
@@ -347,7 +299,7 @@ func runKeys(cfg Config) error {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go r.workerKeys(w, &wg)
+		go r.worker(w, &wg)
 	}
 	wg.Wait()
 	if ckStop != nil {
@@ -355,9 +307,9 @@ func runKeys(cfg Config) error {
 		<-ckDone
 	}
 	if m := cfg.Metrics; m != nil {
-		m.Series(MetricFrontierByDepth).SetFrom(kq.depthCountsCopy())
+		m.Series(MetricFrontierByDepth).SetFrom(q.depthCountsCopy())
 	}
-	return kq.failure()
+	return q.failure()
 }
 
 // checkpointLoop writes a checkpoint every CheckpointInterval until the
@@ -389,7 +341,7 @@ func (r *run) checkpointLoop(stop, done chan struct{}) {
 			n, err := r.writeCheckpoint()
 			clk.Stop()
 			if err != nil {
-				r.kq.fail(fmt.Errorf("explore: checkpoint: %w", err))
+				r.q.fail(fmt.Errorf("explore: checkpoint: %w", err))
 				return
 			}
 			r.checkpoints.Add(1)
@@ -402,25 +354,23 @@ func (r *run) checkpointLoop(stop, done chan struct{}) {
 // registerMetrics wires the engine's pull gauges and hot-path instruments
 // into the run's registry (no-op without one).
 func (r *run) registerMetrics() {
-	m := r.cfg.Metrics
+	m, q := r.cfg.Metrics, r.q
 	if m == nil {
 		return
 	}
 	m.Func(MetricStates, r.total.Load)
 	m.Func(MetricExpanded, r.expanded.Load)
-	m.Func(MetricFrontier, func() int64 { return int64(r.front.depth()) })
-	m.Func(MetricDepth, func() int64 { return int64(r.front.maxDepth()) })
+	m.Func(MetricFrontier, func() int64 { return int64(q.depth()) })
+	m.Func(MetricDepth, func() int64 { return int64(q.maxDepth()) })
 	r.fill = m.Histogram(MetricBatchFill, 0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 	registerStoreMetrics(m, r.cfg.Store)
-	if kq := r.kq; kq != nil {
-		m.Func(MetricFrontierMemBytes, kq.memBytes)
-		m.Func(MetricSpillChunks, func() int64 { c, _, _ := kq.spillStats(); return c })
-		m.Func(MetricSpillBytes, func() int64 { _, b, _ := kq.spillStats(); return b })
-		m.Func(MetricSpillLoads, func() int64 { _, _, l := kq.spillStats(); return l })
-		if r.cfg.CheckpointDir != "" {
-			m.Func(MetricCheckpoints, r.checkpoints.Load)
-			m.Func(MetricCheckpointBytes, r.checkpointBytes.Load)
-		}
+	m.Func(MetricFrontierMemBytes, q.memBytes)
+	m.Func(MetricSpillChunks, func() int64 { c, _, _ := q.spillStats(); return c })
+	m.Func(MetricSpillBytes, func() int64 { _, b, _ := q.spillStats(); return b })
+	m.Func(MetricSpillLoads, func() int64 { _, _, l := q.spillStats(); return l })
+	if r.cfg.CheckpointDir != "" {
+		m.Func(MetricCheckpoints, r.checkpoints.Load)
+		m.Func(MetricCheckpointBytes, r.checkpointBytes.Load)
 	}
 }
 
@@ -435,8 +385,8 @@ func (r *run) canceled() error {
 	return nil
 }
 
-// emit is the single-key intern path used for seeding. Seeds sit at
-// discovery depth 0.
+// emit is the single-key intern path used for seeding. Fresh seeds enter
+// the frontier at discovery depth 0.
 func (r *run) emit(key []uint64) (int32, bool, error) {
 	id, fresh, err := r.cfg.Store.Intern(key)
 	if err != nil {
@@ -446,41 +396,26 @@ func (r *run) emit(key []uint64) (int32, bool, error) {
 		if total := int(r.total.Add(1)); r.cfg.Limit > 0 && total > r.cfg.Limit {
 			return 0, false, fmt.Errorf("%w: > %d states", ErrLimit, r.cfg.Limit)
 		}
-		r.queue.push(id, 0)
-	}
-	return id, fresh, nil
-}
-
-// emitKey is the keys-mode seeding path: fresh keys enter the frontier as
-// packed keys at depth 0 (IDs from a lossy store carry no identity).
-func (r *run) emitKey(key []uint64) (int32, bool, error) {
-	id, fresh, err := r.cfg.Store.Intern(key)
-	if err != nil {
-		return 0, false, err
-	}
-	if fresh {
-		if total := int(r.total.Add(1)); r.cfg.Limit > 0 && total > r.cfg.Limit {
-			return 0, false, fmt.Errorf("%w: > %d states", ErrLimit, r.cfg.Limit)
-		}
-		if err := r.kq.push(key, 0); err != nil {
+		if err := r.q.push(key, id, 0); err != nil {
 			return 0, false, err
 		}
 	}
 	return id, fresh, nil
 }
 
-// worker is one expansion loop: claim a block of states under one queue
-// lock acquisition, then for each state expand it into the batch, intern
-// the batch, and hand the results back to the expander. Termination
-// accounting is settled once per block (doneN), not once per state.
+// worker is one expansion loop: claim a block of (id, depth, key) entries
+// under one queue lock acquisition, then for each state expand its key
+// into the batch, intern the batch, and hand the results back to the
+// expander. Termination accounting is settled once per block (doneN), not
+// once per state.
 func (r *run) worker(w int, wg *sync.WaitGroup) {
 	defer wg.Done()
 	ex := r.cfg.NewExpander(w)
-	batch := NewBatch(r.cfg.Store.Words())
+	wpk := r.cfg.Store.Words()
+	batch := NewBatch(wpk)
+	keys := make([]uint64, popBlockSize*wpk)
 	var (
-		words                           []uint64
-		ids                             [popBlockSize]int32
-		depths                          [popBlockSize]int32
+		ids, depths                     [popBlockSize]int32
 		clkExpand, clkIntern, clkAbsorb *obs.Clock
 		clkIdle                         *obs.Clock
 	)
@@ -498,22 +433,21 @@ func (r *run) worker(w int, wg *sync.WaitGroup) {
 	}
 	for {
 		clkIdle.Start()
-		n := r.queue.popBlock(ids[:], depths[:])
+		n := r.q.popBlock(keys, ids[:], depths[:])
 		clkIdle.Stop()
 		if n == 0 {
 			return
 		}
 		if err := r.canceled(); err != nil {
 			r.expanded.Add(int64(n))
-			r.queue.doneN(n)
-			r.queue.fail(err)
+			r.q.doneN(n)
+			r.q.fail(err)
 			return
 		}
 		for i := 0; i < n; i++ {
-			words = r.cfg.Store.Read(ids[i], words)
 			batch.Reset()
 			clkExpand.Start()
-			err := ex.Expand(ids[i], words, batch)
+			err := ex.Expand(ids[i], keys[i*wpk:(i+1)*wpk], batch)
 			clkExpand.Stop()
 			r.fill.Observe(int64(batch.Len()))
 			if err == nil {
@@ -528,121 +462,14 @@ func (r *run) worker(w int, wg *sync.WaitGroup) {
 			}
 			if err != nil {
 				r.expanded.Add(int64(n))
-				r.queue.doneN(n)
-				r.queue.fail(err)
+				r.q.doneN(n)
+				r.q.fail(err)
 				return
 			}
 		}
 		r.expanded.Add(int64(n))
-		r.queue.doneN(n)
+		r.q.doneN(n)
 	}
-}
-
-// workerKeys is the keys-mode expansion loop: claim a block of (depth,
-// key) entries, expand each key, intern the successors into the lossy
-// store, and enqueue the fresh successors' keys. Expanders see id 0 for
-// every state — lossy stores have no usable IDs.
-func (r *run) workerKeys(w int, wg *sync.WaitGroup) {
-	defer wg.Done()
-	ex := r.cfg.NewExpander(w)
-	wpk := r.cfg.Store.Words()
-	batch := NewBatch(wpk)
-	keys := make([]uint64, keyPopBlock*wpk)
-	var (
-		depths                          [keyPopBlock]int32
-		clkExpand, clkIntern, clkAbsorb *obs.Clock
-		clkIdle                         *obs.Clock
-	)
-	if m := r.cfg.Metrics; m != nil {
-		clkExpand = obs.NewClock(m.Timer(MetricExpandNs), clockSampleEvery)
-		clkIntern = obs.NewClock(m.Timer(MetricInternNs), clockSampleEvery)
-		clkAbsorb = obs.NewClock(m.Timer(MetricAbsorbNs), clockSampleEvery)
-		clkIdle = obs.NewClock(m.Timer(MetricIdleNs), 1)
-		defer func() {
-			clkExpand.Flush()
-			clkIntern.Flush()
-			clkAbsorb.Flush()
-			clkIdle.Flush()
-		}()
-	}
-	for {
-		clkIdle.Start()
-		n := r.kq.popBlock(keys, depths[:])
-		clkIdle.Stop()
-		if n == 0 {
-			return
-		}
-		if err := r.canceled(); err != nil {
-			r.expanded.Add(int64(n))
-			r.kq.doneN(n)
-			r.kq.fail(err)
-			return
-		}
-		for i := 0; i < n; i++ {
-			key := keys[i*wpk : (i+1)*wpk]
-			batch.Reset()
-			clkExpand.Start()
-			err := ex.Expand(0, key, batch)
-			clkExpand.Stop()
-			r.fill.Observe(int64(batch.Len()))
-			if err == nil {
-				clkIntern.Start()
-				err = r.internBatchKeys(batch, depths[i]+1)
-				clkIntern.Stop()
-			}
-			if err == nil {
-				clkAbsorb.Start()
-				err = ex.Absorb(0, batch)
-				clkAbsorb.Stop()
-			}
-			if err != nil {
-				r.expanded.Add(int64(n))
-				r.kq.doneN(n)
-				r.kq.fail(err)
-				return
-			}
-		}
-		r.expanded.Add(int64(n))
-		r.kq.doneN(n)
-	}
-}
-
-// internBatchKeys is internBatch for keys mode: fresh successors are
-// enqueued by key rather than by ID.
-func (r *run) internBatchKeys(b *Batch, d int32) error {
-	count := b.Len()
-	if cap(b.IDs) < count {
-		b.IDs = make([]int32, count)
-		b.Fresh = make([]bool, count)
-	}
-	b.IDs = b.IDs[:count]
-	b.Fresh = b.Fresh[:count]
-	step := r.cfg.MaxBatch
-	if step <= 0 {
-		step = count
-	}
-	for from := 0; from < count; from += step {
-		to := min(from+step, count)
-		if err := r.cfg.Store.InternBatch(b.keys[from*b.wpk:to*b.wpk], b.IDs[from:to], b.Fresh[from:to]); err != nil {
-			return err
-		}
-		freshCount := 0
-		for i := from; i < to; i++ {
-			if b.Fresh[i] {
-				freshCount++
-			}
-		}
-		if freshCount == 0 {
-			continue
-		}
-		if total := int(r.total.Add(int64(freshCount))); r.cfg.Limit > 0 && total > r.cfg.Limit {
-			return fmt.Errorf("%w: > %d states", ErrLimit, r.cfg.Limit)
-		}
-		if err := r.kq.pushFresh(b.keys[from*b.wpk:to*b.wpk], b.Fresh[from:to], d, freshCount); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // internBatch interns the batch's keys (in MaxBatch-sized chunks), filling
@@ -662,7 +489,8 @@ func (r *run) internBatch(b *Batch, d int32) error {
 	}
 	for from := 0; from < count; from += step {
 		to := min(from+step, count)
-		if err := r.cfg.Store.InternBatch(b.keys[from*b.wpk:to*b.wpk], b.IDs[from:to], b.Fresh[from:to]); err != nil {
+		block := b.keys[from*b.wpk : to*b.wpk]
+		if err := r.cfg.Store.InternBatch(block, b.IDs[from:to], b.Fresh[from:to]); err != nil {
 			return err
 		}
 		freshCount := 0
@@ -677,7 +505,9 @@ func (r *run) internBatch(b *Batch, d int32) error {
 		if total := int(r.total.Add(int64(freshCount))); r.cfg.Limit > 0 && total > r.cfg.Limit {
 			return fmt.Errorf("%w: > %d states", ErrLimit, r.cfg.Limit)
 		}
-		r.queue.pushFresh(b.IDs[from:to], b.Fresh[from:to], d, freshCount)
+		if err := r.q.pushFresh(block, b.IDs[from:to], b.Fresh[from:to], d, freshCount); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -687,15 +517,15 @@ func (r *run) snapshot() Progress {
 	p := Progress{
 		States:   r.total.Load(),
 		Expanded: r.expanded.Load(),
-		Frontier: r.front.depth(),
-		Depth:    r.front.maxDepth(),
+		Frontier: r.q.depth(),
+		Depth:    r.q.maxDepth(),
 		Elapsed:  time.Since(r.start),
 	}
 	if s := p.Elapsed.Seconds(); s > 0 {
 		p.StatesPerSec = float64(p.States) / s
 	}
 	if m := r.cfg.Metrics; m != nil {
-		m.Series(MetricFrontierByDepth).SetFrom(r.front.depthCountsCopy())
+		m.Series(MetricFrontierByDepth).SetFrom(r.q.depthCountsCopy())
 		p.Metrics = m.Snapshot()
 	}
 	return p
@@ -718,131 +548,4 @@ func (r *run) sampleProgress(stop, done chan struct{}) {
 			r.cfg.Progress(r.snapshot())
 		}
 	}
-}
-
-// workQueue is an unbounded multi-producer multi-consumer queue of state
-// IDs (tagged with their discovery depth) with distributed-termination
-// accounting: pending counts states discovered but not yet fully expanded;
-// when it hits zero the exploration is complete and all poppers drain out.
-// Consumers claim states in blocks (popBlock) so queue lock traffic is
-// amortized over popBlockSize expansions. It also owns the per-depth
-// discovery counts, updated under the same lock the enqueue already takes.
-type workQueue struct {
-	mu          sync.Mutex
-	cond        *sync.Cond
-	items       []int32
-	depths      []int32
-	depthCounts []int64
-	pending     int
-	err         error
-}
-
-func newWorkQueue() *workQueue {
-	q := &workQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-// countAtDepth charges n discoveries to depth d. Caller holds q.mu.
-func (q *workQueue) countAtDepth(d int32, n int64) {
-	for len(q.depthCounts) <= int(d) {
-		q.depthCounts = append(q.depthCounts, 0)
-	}
-	q.depthCounts[d] += n
-}
-
-func (q *workQueue) push(id int32, depth int32) {
-	q.mu.Lock()
-	q.items = append(q.items, id)
-	q.depths = append(q.depths, depth)
-	q.countAtDepth(depth, 1)
-	q.pending++
-	q.cond.Signal()
-	q.mu.Unlock()
-}
-
-// pushFresh enqueues ids[i] for every fresh[i] at depth d under one lock
-// acquisition — the batch counterpart of push.
-func (q *workQueue) pushFresh(ids []int32, fresh []bool, d int32, freshCount int) {
-	q.mu.Lock()
-	for i, id := range ids {
-		if fresh[i] {
-			q.items = append(q.items, id)
-			q.depths = append(q.depths, d)
-			q.pending++
-		}
-	}
-	q.countAtDepth(d, int64(freshCount))
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-// popBlock claims up to len(ids) states into ids/depths, blocking until
-// work arrives, the exploration completes, or a worker fails. Returns the
-// number claimed (0 means drain out). Claimed states stay counted in
-// pending until the worker settles them with doneN, so termination
-// accounting is unaffected by the local buffering.
-func (q *workQueue) popBlock(ids, depths []int32) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && q.pending > 0 && q.err == nil {
-		q.cond.Wait()
-	}
-	if q.err != nil || len(q.items) == 0 {
-		return 0
-	}
-	n := min(len(ids), len(q.items))
-	from := len(q.items) - n
-	copy(ids, q.items[from:])
-	copy(depths, q.depths[from:])
-	q.items = q.items[:from]
-	q.depths = q.depths[:from]
-	return n
-}
-
-// depth returns the number of queued (not yet claimed) states.
-func (q *workQueue) depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
-}
-
-// maxDepth returns the deepest discovery depth charged so far.
-func (q *workQueue) maxDepth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return max(0, len(q.depthCounts)-1)
-}
-
-// depthCountsCopy returns a copy of the per-depth discovery counts.
-func (q *workQueue) depthCountsCopy() []int64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return append([]int64(nil), q.depthCounts...)
-}
-
-// doneN settles n claimed states' termination accounting in one lock
-// acquisition.
-func (q *workQueue) doneN(n int) {
-	q.mu.Lock()
-	q.pending -= n
-	if q.pending == 0 {
-		q.cond.Broadcast()
-	}
-	q.mu.Unlock()
-}
-
-func (q *workQueue) fail(err error) {
-	q.mu.Lock()
-	if q.err == nil {
-		q.err = err
-	}
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-func (q *workQueue) failure() error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.err
 }

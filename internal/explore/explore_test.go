@@ -4,13 +4,16 @@ import (
 	"context"
 	"errors"
 	"math/rand/v2"
+	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"stateless/internal/core"
 	"stateless/internal/enc"
 	"stateless/internal/graph"
+	"stateless/internal/obs"
 )
 
 func TestDenseStoreInternReadRank(t *testing.T) {
@@ -615,6 +618,79 @@ func TestRunBatchGranularityInvariant(t *testing.T) {
 					t.Fatalf("maxBatch=%d workers=%d: reference state %d missing", maxBatch, workers, k)
 				}
 			}
+		}
+	}
+}
+
+// idCheckingExpander is a countingExpander that also checks the store ID
+// the frontier hands back with each state: re-interning the state's key
+// must answer that same ID, not fresh.
+type idCheckingExpander struct {
+	countingExpander
+	store Store
+	bad   *atomic.Int64
+}
+
+func (c *idCheckingExpander) Expand(id int32, words []uint64, b *Batch) error {
+	if got, fresh, err := c.store.Intern(words); err != nil || fresh || got != id {
+		c.bad.Add(1)
+	}
+	return c.countingExpander.Expand(id, words, b)
+}
+
+// TestRunExactStoreSpills runs both exact stores with a frontier budget
+// small enough to spill on nearly every push: every state must still be
+// expanded exactly once with its own store ID, the run must report
+// written chunks, and no chunk file may outlive the run.
+func TestRunExactStoreSpills(t *testing.T) {
+	for name, store := range map[string]Store{"dense": NewDense(10), "hash": NewHash(1)} {
+		mu := &sync.Mutex{}
+		expanded := map[uint64]int{}
+		var bad atomic.Int64
+		dir := t.TempDir()
+		reg := obs.NewRegistry()
+		err := Run(Config{
+			Store:            store,
+			Workers:          2,
+			Limit:            1 << 10,
+			FrontierMemBytes: 64,
+			SpillDir:         dir,
+			Metrics:          reg,
+			Seed: func(emit Emit) error {
+				_, _, err := emit([]uint64{1})
+				return err
+			},
+			NewExpander: func(int) Expander {
+				return &idCheckingExpander{
+					countingExpander: countingExpander{n: 1 << 10, mu: mu, expanded: expanded},
+					store:            store,
+					bad:              &bad,
+				}
+			},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := bad.Load(); n != 0 {
+			t.Fatalf("%s: %d states expanded under a wrong store ID", name, n)
+		}
+		for k, c := range expanded {
+			if c != 1 {
+				t.Fatalf("%s: state %d expanded %d times", name, k, c)
+			}
+		}
+		if store.Len() != len(expanded) {
+			t.Fatalf("%s: %d states interned, %d expanded", name, store.Len(), len(expanded))
+		}
+		if chunks := reg.Snapshot()[MetricSpillChunks].Value; chunks == 0 {
+			t.Fatalf("%s: tiny frontier budget wrote no spill chunks", name)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			t.Fatalf("%s: leftover spill file %s", name, e.Name())
 		}
 	}
 }

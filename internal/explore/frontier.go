@@ -8,7 +8,7 @@ import (
 	"sync"
 )
 
-// Frontier/spill metric names (registered in keys mode; see Config.Metrics).
+// Frontier/spill metric names (see Config.Metrics).
 const (
 	// MetricFrontierMemBytes is the frontier's current in-memory footprint.
 	MetricFrontierMemBytes = "explore/frontier_mem_bytes"
@@ -20,10 +20,6 @@ const (
 	MetricSpillLoads = "explore/spill_loads"
 )
 
-// keyPopBlock is the number of frontier entries one worker claims per
-// queue lock acquisition in keys mode (the analogue of popBlockSize).
-const keyPopBlock = 64
-
 // spillChunk is one on-disk frontier chunk: entries·stride uint64 words,
 // little-endian, oldest entries first.
 type spillChunk struct {
@@ -31,10 +27,11 @@ type spillChunk struct {
 	entries int64
 }
 
-// keyQueue is the keys-mode frontier: a multi-producer multi-consumer
-// FIFO of (depth, packed key) entries with the same distributed-termination
-// accounting as workQueue, plus two capabilities the exact-mode queue does
-// not need:
+// keyQueue is the frontier: a multi-producer multi-consumer FIFO of
+// (id, depth, packed key) entries with distributed-termination accounting
+// (pending counts states discovered but not yet fully expanded; when it
+// hits zero the exploration is complete and all poppers drain out), the
+// per-depth discovery counts, and two further capabilities:
 //
 //   - Disk spilling. Entries live in two in-memory buffers — workers pop
 //     from the front of head and push to the back of tail. When tail
@@ -49,11 +46,12 @@ type spillChunk struct {
 //     set and the frontier are captured at a consistent cut (no state is
 //     mid-expansion with successors interned but not yet enqueued).
 //
-// Entries are stride = wordsPerKey+1 words: the discovery depth followed by
-// the packed key. Chunk I/O runs under the queue lock — a flush or load
-// briefly blocks other workers, which is acceptable because chunks are
-// budget/2-sized (milliseconds of sequential I/O amortized over millions of
-// pushes).
+// Entries are stride = wordsPerKey+1 words: a head word packing the store
+// ID and the discovery depth (see entryHead) followed by the packed key.
+// A lossy store's IDs are always 0, so its head word is the bare depth.
+// Chunk I/O runs under the queue lock — a flush or load briefly blocks
+// other workers, which is acceptable because chunks are budget/2-sized
+// (milliseconds of sequential I/O amortized over millions of pushes).
 type keyQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -80,7 +78,7 @@ type keyQueue struct {
 	spillChunks, spillBytes, spillLoads int64
 }
 
-// newKeyQueue builds the keys-mode frontier. dir may be empty when neither
+// newKeyQueue builds the frontier. dir may be empty when neither
 // spilling nor checkpointing is enabled; memBytes ≤ 0 disables spilling.
 func newKeyQueue(wpk int, memBytes int64, dir string) (*keyQueue, error) {
 	q := &keyQueue{
@@ -107,6 +105,17 @@ func newKeyQueue(wpk int, memBytes int64, dir string) (*keyQueue, error) {
 	return q, nil
 }
 
+// entryHead packs a frontier entry's head word: the store ID in the high
+// 32 bits, the discovery depth in the low 32.
+func entryHead(id, depth int32) uint64 {
+	return uint64(uint32(id))<<32 | uint64(uint32(depth))
+}
+
+// splitHead unpacks an entryHead word.
+func splitHead(w uint64) (id, depth int32) {
+	return int32(w >> 32), int32(uint32(w))
+}
+
 // countAtDepth charges n discoveries to depth d. Caller holds q.mu.
 func (q *keyQueue) countAtDepth(d int32, n int64) {
 	for len(q.depthCounts) <= int(d) {
@@ -115,14 +124,15 @@ func (q *keyQueue) countAtDepth(d int32, n int64) {
 	q.depthCounts[d] += n
 }
 
-// push enqueues one key at the given depth (the seeding path).
-func (q *keyQueue) push(key []uint64, depth int32) error {
+// push enqueues one key with its store ID at the given depth (the seeding
+// path).
+func (q *keyQueue) push(key []uint64, id, depth int32) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.err != nil {
 		return q.err
 	}
-	q.tail = append(q.tail, uint64(depth))
+	q.tail = append(q.tail, entryHead(id, depth))
 	q.tail = append(q.tail, key...)
 	q.countAtDepth(depth, 1)
 	q.pending++
@@ -132,9 +142,9 @@ func (q *keyQueue) push(key []uint64, depth int32) error {
 	return err
 }
 
-// pushFresh enqueues block's i-th key for every fresh[i] at depth d under
-// one lock acquisition — the batch counterpart of push.
-func (q *keyQueue) pushFresh(block []uint64, fresh []bool, d int32, freshCount int) error {
+// pushFresh enqueues block's i-th key with ids[i] for every fresh[i] at
+// depth d under one lock acquisition — the batch counterpart of push.
+func (q *keyQueue) pushFresh(block []uint64, ids []int32, fresh []bool, d int32, freshCount int) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.err != nil {
@@ -142,7 +152,7 @@ func (q *keyQueue) pushFresh(block []uint64, fresh []bool, d int32, freshCount i
 	}
 	for i := range fresh {
 		if fresh[i] {
-			q.tail = append(q.tail, uint64(d))
+			q.tail = append(q.tail, entryHead(ids[i], d))
 			q.tail = append(q.tail, block[i*q.wpk:(i+1)*q.wpk]...)
 		}
 	}
@@ -187,18 +197,19 @@ func (q *keyQueue) writeChunkLocked(buf []uint64) (spillChunk, error) {
 
 // loadChunkLocked streams the oldest chunk into head and removes it from
 // the live list, deleting the file unless a manifest still references it.
+// Every entry is validated before it can reach a worker: a corrupt chunk
+// (for instance a damaged checkpoint) fails the run with an error naming
+// the file instead of indexing the depth counts out of range.
 func (q *keyQueue) loadChunkLocked() error {
 	ch := q.chunks[0]
 	q.chunks = q.chunks[1:]
 	path := filepath.Join(q.dir, ch.file)
 	words, err := readWordsFile(path)
+	if err == nil {
+		err = q.checkChunk(ch, words)
+	}
 	if err != nil {
 		q.err = fmt.Errorf("explore: spill load: %w", err)
-		q.cond.Broadcast()
-		return q.err
-	}
-	if int64(len(words)) != ch.entries*int64(q.stride) {
-		q.err = fmt.Errorf("explore: spill load: %s has %d words, want %d", ch.file, len(words), ch.entries*int64(q.stride))
 		q.cond.Broadcast()
 		return q.err
 	}
@@ -211,12 +222,28 @@ func (q *keyQueue) loadChunkLocked() error {
 	return nil
 }
 
+// checkChunk validates a loaded chunk's size and every entry's head word:
+// the depth must already be charged in depthCounts and the ID must be
+// non-negative. Caller holds q.mu.
+func (q *keyQueue) checkChunk(ch spillChunk, words []uint64) error {
+	if int64(len(words)) != ch.entries*int64(q.stride) {
+		return fmt.Errorf("%s has %d words, want %d", ch.file, len(words), ch.entries*int64(q.stride))
+	}
+	for i := 0; i < len(words); i += q.stride {
+		id, depth := splitHead(words[i])
+		if depth < 0 || int(depth) >= len(q.depthCounts) || id < 0 {
+			return fmt.Errorf("%s entry %d: id %d depth %d out of range (%d depths)", ch.file, i/q.stride, id, depth, len(q.depthCounts))
+		}
+	}
+	return nil
+}
+
 // popBlock claims up to len(depths) entries, copying keys back to back
-// into keys (len(depths)·wpk words) and depths[i] for each. Blocks until
-// work arrives, the exploration completes, or a worker fails; returns the
-// number claimed (0 means drain out). Claimed entries stay counted in
-// pending until settled with doneN.
-func (q *keyQueue) popBlock(keys []uint64, depths []int32) int {
+// into keys (len(depths)·wpk words) and ids[i], depths[i] for each. Blocks
+// until work arrives, the exploration completes, or a worker fails;
+// returns the number claimed (0 means drain out). Claimed entries stay
+// counted in pending until settled with doneN.
+func (q *keyQueue) popBlock(keys []uint64, ids, depths []int32) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
@@ -250,7 +277,7 @@ func (q *keyQueue) popBlock(keys []uint64, depths []int32) int {
 	n := min(len(depths), avail)
 	for i := 0; i < n; i++ {
 		e := q.head[q.headOff : q.headOff+q.stride]
-		depths[i] = int32(e[0])
+		ids[i], depths[i] = splitHead(e[0])
 		copy(keys[i*q.wpk:(i+1)*q.wpk], e[1:])
 		q.headOff += q.stride
 	}

@@ -106,9 +106,6 @@ type Store interface {
 	// shard lock once per batch instead of once per key). Safe for
 	// concurrent use.
 	InternBatch(block []uint64, ids []int32, fresh []bool) error
-	// Read copies the packed words of id into buf (reused when large
-	// enough). Safe for concurrent use with Intern.
-	Read(id int32, buf []uint64) []uint64
 	// Len returns the number of interned states.
 	Len() int
 	// Compact freezes the store (no Intern afterwards) and returns the
@@ -126,10 +123,11 @@ type Store interface {
 	Stats() StoreStats
 	// Lossy reports whether the store is an approximate visited set (the
 	// bitstate/Bloom store): fresh=false answers may be hash collisions and
-	// interned states are not recoverable, so Read, Rank and WordsAt are
-	// unavailable. The engine runs lossy stores with a packed-key frontier
-	// (the state travels in the queue instead of being read back by ID) and
-	// analyses over the explored graph are downgraded to on-the-fly checks.
+	// interned states are not recoverable, so Rank and WordsAt are
+	// unavailable and analyses over the explored graph are downgraded to
+	// on-the-fly checks. The engine explores every store the same way (the
+	// state travels in the frontier, never read back by ID); there Lossy
+	// only gates checkpointing, which needs the bitstate store.
 	Lossy() bool
 }
 
@@ -254,16 +252,6 @@ func (d *Dense) InternBatch(block []uint64, ids []int32, fresh []bool) error {
 	return nil
 }
 
-// Read reconstructs the packed words of id — the ID is the state.
-func (d *Dense) Read(id int32, buf []uint64) []uint64 {
-	if cap(buf) < 1 {
-		buf = make([]uint64, 1)
-	}
-	buf = buf[:1]
-	buf[0] = uint64(id)
-	return buf
-}
-
 // Len returns the number of visited states.
 func (d *Dense) Len() int { return int(d.count.Load()) }
 
@@ -293,9 +281,14 @@ func (d *Dense) Rank(id int32) int32 {
 	return d.prefix[k>>6] + int32(bits.OnesCount64(w&(1<<(k&63)-1)))
 }
 
-// WordsAt materializes the rank-th state into buf.
+// WordsAt materializes the rank-th state into buf — the ID is the state.
 func (d *Dense) WordsAt(rank int32, buf []uint64) []uint64 {
-	return d.Read(d.ids[rank], buf)
+	if cap(buf) < 1 {
+		buf = make([]uint64, 1)
+	}
+	buf = buf[:1]
+	buf[0] = uint64(d.ids[rank])
+	return buf
 }
 
 // Stats reports bitset occupancy and CAS contention. Bytes covers only the
@@ -408,21 +401,6 @@ func (h *Hash) InternBatch(block []uint64, ids []int32, fresh []bool) error {
 		s.mu.Unlock()
 	}
 	return err
-}
-
-// Read copies state id's packed words into buf (the shard arena may be
-// reallocated concurrently, so the copy happens under the shard lock).
-func (h *Hash) Read(id int32, buf []uint64) []uint64 {
-	s := &h.shards[id&(1<<shardBits-1)]
-	s.mu.Lock()
-	src := s.tab.At(int(id >> shardBits))
-	if cap(buf) < len(src) {
-		buf = make([]uint64, len(src))
-	}
-	buf = buf[:len(src)]
-	copy(buf, src)
-	s.mu.Unlock()
-	return buf
 }
 
 // Len returns the number of interned states.

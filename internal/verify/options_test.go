@@ -103,3 +103,18 @@ func TestProgressSnapshots(t *testing.T) {
 		t.Fatalf("final snapshot: rate %v elapsed %v, want positive", final.StatesPerSec, final.Elapsed)
 	}
 }
+
+// TestSpillBudgetNeedsDir checks that a frontier budget without a spill
+// directory is rejected for every store, since every store spills.
+func TestSpillBudgetNeedsDir(t *testing.T) {
+	p := uniformRingProtocol(t, 5, 3, 42)
+	x := make(core.Input, 5)
+	for _, store := range []verify.StoreKind{verify.StoreDense, verify.StoreHash, verify.StoreBitstate} {
+		_, err := verify.LabelRStabilizingOpts(p, x, 2, verify.Options{
+			Store: store, SpillMemBytes: 1 << 20,
+		})
+		if err == nil {
+			t.Fatalf("store=%v: spill budget without a spill dir accepted", store)
+		}
+	}
+}

@@ -128,9 +128,10 @@ type Options struct {
 	// BitstateK is the bitstate store's hash-function count (0 means
 	// DefaultBitstateK). Only meaningful with StoreBitstate.
 	BitstateK int
-	// SpillMemBytes caps the in-memory frontier of a bitstate run: past
-	// the budget, frontier chunks spill to SpillDir and stream back in
-	// depth order. ≤ 0 disables spilling. Exact stores never spill.
+	// SpillMemBytes caps the in-memory exploration frontier (every store):
+	// past the budget, frontier chunks spill to SpillDir and stream back in
+	// depth order. ≤ 0 disables spilling. Exact-store verdicts, witnesses
+	// and state counts do not depend on spilling.
 	SpillMemBytes int64
 	// SpillDir is where frontier chunks live (required when SpillMemBytes
 	// > 0 unless CheckpointDir is set, which then hosts the chunks).
@@ -972,23 +973,21 @@ func (e *explorer) explore() error {
 			e.expanders[w] = ex
 			return ex
 		},
-		Ctx:              e.opts.Context,
-		MaxBatch:         e.opts.Batch,
-		Progress:         e.opts.Progress,
-		ProgressInterval: e.opts.ProgressInterval,
-		Metrics:          e.opts.Metrics,
+		Ctx:                e.opts.Context,
+		MaxBatch:           e.opts.Batch,
+		Progress:           e.opts.Progress,
+		ProgressInterval:   e.opts.ProgressInterval,
+		Metrics:            e.opts.Metrics,
+		FrontierMemBytes:   e.opts.SpillMemBytes,
+		SpillDir:           e.opts.SpillDir,
+		CheckpointDir:      e.opts.CheckpointDir,
+		CheckpointInterval: e.opts.CheckpointInterval,
+		Resume:             e.opts.Resume,
 	}
-	if e.store.Lossy() {
-		cfg.FrontierMemBytes = e.opts.SpillMemBytes
-		cfg.SpillDir = e.opts.SpillDir
-		cfg.CheckpointDir = e.opts.CheckpointDir
-		cfg.CheckpointInterval = e.opts.CheckpointInterval
-		cfg.Resume = e.opts.Resume
-		if e.opts.CheckpointDir != "" {
-			cfg.CheckpointTag = e.checkpointTag()
-			cfg.CheckpointExtra = e.checkpointExtra
-			cfg.RestoreExtra = e.restoreExtra
-		}
+	if e.opts.CheckpointDir != "" {
+		cfg.CheckpointTag = e.checkpointTag()
+		cfg.CheckpointExtra = e.checkpointExtra
+		cfg.RestoreExtra = e.restoreExtra
 	}
 	return explore.Run(cfg)
 }

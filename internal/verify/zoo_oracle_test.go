@@ -4,13 +4,15 @@ import (
 	"testing"
 
 	"stateless/internal/core"
+	"stateless/internal/explore"
 	"stateless/internal/graph"
+	"stateless/internal/obs"
 	"stateless/internal/protocols"
 	"stateless/internal/verify"
 )
 
-// TestOracleZooTopologies extends the store×symmetry×workers×batch oracle
-// to the generalized symmetry groups: bidirectional rings (dihedral),
+// TestOracleZooTopologies extends the store×symmetry×workers×batch×spill
+// oracle to the generalized symmetry groups: bidirectional rings (dihedral),
 // hypercubes (signed permutations, and the root-stabilizer subgroup for
 // the rooted BFS protocol), and tori (translations). For every instance,
 // all exact configurations must agree on verdict, state count (per
@@ -105,25 +107,41 @@ func TestOracleZooTopologies(t *testing.T) {
 				sym   verify.SymmetryMode
 				work  int
 				batch int
+				spill int64 // frontier memory budget (0 = never spill)
 			}
 			var cfgs []cfg
 			for _, st := range tc.stores {
 				for _, sy := range []verify.SymmetryMode{verify.SymmetryOff, verify.SymmetryOn} {
+					// A budget that forces spilling: quotiented runs have
+					// frontiers of a few dozen states, which spill only at
+					// 64 B (one chunk per push); raw runs spill at 1 KiB,
+					// which keeps their chunk-file count small.
+					budget := int64(1024)
+					if sy == verify.SymmetryOn {
+						budget = 128
+					}
 					for _, w := range []int{1, 4} {
 						for _, b := range []int{0, 7} {
-							cfgs = append(cfgs, cfg{st, sy, w, b})
+							for _, sp := range []int64{0, budget} {
+								cfgs = append(cfgs, cfg{st, sy, w, b, sp})
+							}
 						}
 					}
 				}
 			}
 			byState := map[verify.SymmetryMode]verify.Decision{}
 			for _, c := range cfgs {
+				reg := obs.NewRegistry()
 				dec, err := verify.LabelRStabilizingOpts(tc.p, tc.x, 2, verify.Options{
 					Limit: 1 << 22, Workers: c.work, Store: c.store, Symmetry: c.sym,
-					Batch: c.batch,
+					Batch: c.batch, SpillMemBytes: c.spill, SpillDir: t.TempDir(),
+					Metrics: reg,
 				})
 				if err != nil {
 					t.Fatalf("cfg %+v: %v", c, err)
+				}
+				if chunks := reg.Snapshot()[explore.MetricSpillChunks].Value; (chunks > 0) != (c.spill > 0) {
+					t.Fatalf("cfg %+v: %d spill chunks written", c, chunks)
 				}
 				if dec.Stabilizing != !tc.violating {
 					t.Fatalf("cfg %+v: stabilizing=%v, want %v", c, dec.Stabilizing, !tc.violating)
@@ -143,11 +161,11 @@ func TestOracleZooTopologies(t *testing.T) {
 				}
 				if prev, ok := byState[c.sym]; ok {
 					if dec.States != prev.States {
-						t.Fatalf("cfg %+v: state count %d vs %d across stores/workers/batches",
+						t.Fatalf("cfg %+v: state count %d vs %d across stores/workers/batches/spill",
 							c, dec.States, prev.States)
 					}
 					if !witnessEqual(dec.Witness, prev.Witness) {
-						t.Fatalf("cfg %+v: witness differs across stores/workers/batches", c)
+						t.Fatalf("cfg %+v: witness differs across stores/workers/batches/spill", c)
 					}
 				} else {
 					byState[c.sym] = dec
