@@ -17,11 +17,7 @@ import (
 	"sync"
 
 	"stateless/internal/core"
-	"stateless/internal/enc"
-	"stateless/internal/explore"
 	"stateless/internal/graph"
-	"stateless/internal/schedule"
-	"stateless/internal/sim"
 )
 
 // Runtime drives a protocol with one goroutine per node.
@@ -158,87 +154,6 @@ func (r *Runtime) Close() {
 		close(w.stop)
 	}
 	r.wg.Wait()
-}
-
-// Run drives the runtime under a schedule until label stabilization, a
-// detected configuration cycle (with the same caveats as internal/sim), or
-// maxSteps. The semantics mirror sim.Run; the two are asserted equivalent
-// by tests. When opts.Metrics is set the outcome is recorded through
-// sim.Result.Record, in the same shape as the reference simulator.
-func (r *Runtime) Run(sched schedule.Schedule, opts sim.Options) (sim.Result, error) {
-	res, err := r.run(sched, opts)
-	if err == nil {
-		res.Record(opts.Metrics)
-	}
-	return res, err
-}
-
-func (r *Runtime) run(sched schedule.Schedule, opts sim.Options) (sim.Result, error) {
-	maxSteps := opts.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = sim.DefaultMaxSteps
-	}
-	period := opts.CyclePeriod
-	if period <= 0 {
-		period = 1
-	}
-	// Packed-label cycle keys, mirroring internal/sim: no per-step string
-	// allocation, direct-indexed for narrow labelings (explore.NewSeen).
-	var (
-		codec    *enc.Codec
-		seen     *explore.Seen
-		seenStep []int
-		keyBuf   []uint64
-	)
-	if opts.DetectCycles {
-		codec = enc.NewLabelCodec(r.p.Space(), r.p.Graph().M())
-		seen = explore.NewSeen(codec, 256)
-	}
-	g := r.p.Graph()
-	active := make([]graph.NodeID, 0, g.N())
-	lastChange := 0
-	for t := 1; t <= maxSteps; t++ {
-		active = sched.Activated(t, active[:0])
-		changed, err := r.Step(active)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		if changed {
-			lastChange = t
-		}
-		if !changed && core.IsStable(r.p, r.x, r.labels) {
-			return sim.Result{
-				Status:       sim.LabelStable,
-				Steps:        t,
-				StabilizedAt: lastChange,
-				Final:        core.Config{Labels: r.Labels(), Outputs: r.Outputs()},
-				Outputs:      core.StableOutputs(r.p, r.x, r.labels),
-			}, nil
-		}
-		if opts.DetectCycles && t%period == 0 {
-			keyBuf = codec.PackLabels(r.labels, keyBuf)
-			id, fresh := seen.Intern(keyBuf)
-			if !fresh {
-				prev := seenStep[id]
-				return sim.Result{
-					Status:       sim.Oscillating,
-					Steps:        t,
-					StabilizedAt: prev,
-					CycleLen:     t - prev,
-					Final:        core.Config{Labels: r.Labels(), Outputs: r.Outputs()},
-					Outputs:      r.Outputs(),
-				}, nil
-			}
-			seenStep = append(seenStep, t)
-		}
-	}
-	return sim.Result{
-		Status:       sim.Exhausted,
-		Steps:        maxSteps,
-		StabilizedAt: -1,
-		Final:        core.Config{Labels: r.Labels(), Outputs: r.Outputs()},
-		Outputs:      r.Outputs(),
-	}, nil
 }
 
 // Verify runs both the concurrent runtime and the reference simulator on

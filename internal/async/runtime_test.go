@@ -51,6 +51,18 @@ func TestRuntimeMatchesReferenceSimulator(t *testing.T) {
 	}
 }
 
+// synchronous is the one-set schedule script that activates every node.
+func synchronous(n int) [][]graph.NodeID {
+	all := make([]graph.NodeID, n)
+	for v := range all {
+		all[v] = graph.NodeID(v)
+	}
+	return [][]graph.NodeID{all}
+}
+
+// TestRuntimeRunStabilizes drives the runtime through the reference
+// simulator's whole synchronous run: the label trajectories agree step for
+// step up to the step at which sim reports label stability.
 func TestRuntimeRunStabilizes(t *testing.T) {
 	g := graph.BidirectionalRing(5)
 	p, err := protocols.TreeProtocol(g, xorFunc)
@@ -58,50 +70,73 @@ func TestRuntimeRunStabilizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := core.Input{1, 1, 0, 1, 0}
-	rt, err := New(p, x, core.UniformLabeling(g, 0))
+	l0 := core.UniformLabeling(g, 0)
+	ref, err := sim.RunSynchronous(p, x, l0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
-	res, err := rt.Run(schedule.Synchronous{N: 5}, sim.Options{MaxSteps: 100})
-	if err != nil {
-		t.Fatal(err)
+	if ref.Status != sim.LabelStable {
+		t.Fatalf("reference status %v, want label-stable", ref.Status)
 	}
-	if res.Status != sim.LabelStable {
-		t.Fatalf("status %v", res.Status)
-	}
-	for _, y := range res.Outputs {
+	for _, y := range ref.Outputs {
 		if y != xorFunc(x) {
 			t.Error("wrong converged output")
 		}
 	}
-	// Cross-check against the reference run.
-	ref, err := sim.RunSynchronous(p, x, core.UniformLabeling(g, 0), 100)
-	if err != nil {
+	if err := Verify(p, x, l0, synchronous(g.N()), ref.Steps); err != nil {
 		t.Fatal(err)
-	}
-	if ref.StabilizedAt != res.StabilizedAt {
-		t.Errorf("stabilization time %d vs reference %d", res.StabilizedAt, ref.StabilizedAt)
 	}
 }
 
+// TestRuntimeDetectsOscillation runs the runtime around the configuration
+// cycles the reference simulator detects and checks that the trajectories
+// agree through one full traversal of the cycle. Forward NOT on a 4-ring
+// cycles its labels forever; it oscillates when each node outputs its label
+// and is output-stable when the output is constant. BAD GADGET under the
+// synchronous schedule is output-stable too.
 func TestRuntimeDetectsOscillation(t *testing.T) {
-	spp := bestresponse.BadGadget()
-	p, err := spp.Protocol()
+	gadget, err := bestresponse.BadGadget().Protocol()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := New(p, make(core.Input, 4), core.UniformLabeling(p.Graph(), 0))
-	if err != nil {
-		t.Fatal(err)
+	forwardNot := func(output func(core.Label) core.Bit) *core.Protocol {
+		p, err := core.NewUniformProtocol(graph.Ring(4), core.BinarySpace(),
+			func(in []core.Label, _ core.Bit, out []core.Label) core.Bit {
+				out[0] = 1 - in[0]
+				return output(out[0])
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	defer rt.Close()
-	res, err := rt.Run(schedule.Synchronous{N: 4}, sim.Options{MaxSteps: 10000, DetectCycles: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != sim.Oscillating {
-		t.Fatalf("status %v, want oscillating", res.Status)
+	for _, tc := range []struct {
+		name string
+		p    *core.Protocol
+		l0   core.Labeling
+		want sim.Status
+	}{
+		{"forward-not-ring4", forwardNot(func(l core.Label) core.Bit { return core.Bit(l) }),
+			core.Labeling{0, 1, 0, 0}, sim.Oscillating},
+		{"forward-not-ring4-const", forwardNot(func(core.Label) core.Bit { return 1 }),
+			core.Labeling{0, 1, 0, 0}, sim.OutputStable},
+		{"bad-gadget", gadget, core.UniformLabeling(gadget.Graph(), 0), sim.OutputStable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.p.Graph().N()
+			x := make(core.Input, n)
+			ref, err := sim.Run(tc.p, x, tc.l0, schedule.Synchronous{N: n},
+				sim.Options{MaxSteps: 10000, DetectCycles: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.Status != tc.want || ref.CycleLen == 0 {
+				t.Fatalf("reference status %v (cycle %d), want %v on a cycle", ref.Status, ref.CycleLen, tc.want)
+			}
+			if err := Verify(tc.p, x, tc.l0, synchronous(n), ref.Steps+ref.CycleLen); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

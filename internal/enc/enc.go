@@ -445,6 +445,16 @@ func NewTable(wordsPerKey, hint int) *Table {
 	}
 }
 
+// Reset empties the table: IDs restart at 0 and the probe counters at
+// zero, while the slot array and arena keep their capacity, so a table
+// reset per use allocates only while it grows.
+func (t *Table) Reset() {
+	clear(t.slots)
+	t.arena = t.arena[:0]
+	t.count = 0
+	t.probes, t.maxProbe = 0, 0
+}
+
 // Len returns the number of interned states.
 func (t *Table) Len() int { return t.count }
 

@@ -157,6 +157,50 @@ func TestTableGrowth(t *testing.T) {
 	}
 }
 
+// TestTableReset pins Reset's contract: the table empties, IDs restart at
+// 0, earlier keys come back fresh, and the slot array and arena are reused,
+// so refilling a reset table to its old size allocates nothing.
+func TestTableReset(t *testing.T) {
+	tab := enc.NewTable(2, 0)
+	key := make([]uint64, 2)
+	// fill interns keys from..to-1, expecting fresh IDs from firstID on.
+	fill := func(from, to, firstID int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			key[0], key[1] = uint64(i), uint64(i)*0x9e3779b9
+			if id, fresh := tab.Intern(key); !fresh || id != firstID+i-from {
+				t.Fatalf("insert %d: got id=%d fresh=%v, want id=%d fresh", i, id, fresh, firstID+i-from)
+			}
+		}
+	}
+	const total = 1000
+	fill(0, total, 0)
+	slots := tab.Stats().Slots
+	tab.Reset()
+	if tab.Len() != 0 {
+		t.Fatalf("Len after Reset = %d, want 0", tab.Len())
+	}
+	if st := tab.Stats(); st.Slots != slots || st.Probes != 0 || st.MaxProbe != 0 {
+		t.Fatalf("Stats after Reset = %+v, want %d slots and zero probe counters", st, slots)
+	}
+	key[0], key[1] = 0, 0
+	if _, ok := tab.Lookup(key); ok {
+		t.Fatal("key interned before Reset is still present")
+	}
+	// The old keys come back fresh, numbered from 0 in the new order.
+	fill(total/2, total, 0)
+	fill(0, total/2, total/2)
+	if allocs := testing.AllocsPerRun(10, func() {
+		tab.Reset()
+		fill(0, total, 0)
+	}); allocs != 0 {
+		t.Fatalf("refilling a reset table allocated %.0f times per run, want 0", allocs)
+	}
+	if got := tab.Stats().Slots; got != slots {
+		t.Fatalf("slot count %d after refill, want %d", got, slots)
+	}
+}
+
 // TestPackBatchMatchesPack pins the batch packer to the single-state path:
 // for random flat slabs of states, PackBatch's block must be bit-identical
 // to packing every row with Pack — across single-word layouts (the

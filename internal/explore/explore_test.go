@@ -442,38 +442,6 @@ func FuzzCanonicalizeRotation(f *testing.F) {
 	})
 }
 
-// TestCanonicalizeFastMatchesSlow pins the byte-table fast path to the
-// generic unpack-permute-pack path on random single-word ring states.
-func TestCanonicalizeFastMatchesSlow(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 9))
-	for _, n := range []int{3, 5, 7} {
-		const q, r = 3, 3
-		sym, codec := ringSymmetry(t, n, q, r, true)
-		if sym.tables == nil {
-			t.Fatalf("n=%d: expected the single-word fast path", n)
-		}
-		canon := sym.NewCanon()
-		labels := make(core.Labeling, n)
-		cd := make([]uint8, n)
-		out := make([]core.Bit, n)
-		for trial := 0; trial < 500; trial++ {
-			for i := 0; i < n; i++ {
-				labels[i] = core.Label(rng.Uint64N(q))
-				cd[i] = uint8(rng.IntN(r + 1))
-				out[i] = core.Bit(rng.IntN(2))
-			}
-			key := codec.Pack(labels, cd, out, nil)
-			fast := append([]uint64(nil), key...)
-			slow := append([]uint64(nil), key...)
-			canon.Canonicalize(fast)
-			canon.slowCanonicalize(slow)
-			if fast[0] != slow[0] {
-				t.Fatalf("n=%d trial %d: fast %x != slow %x (input %x)", n, trial, fast[0], slow[0], key[0])
-			}
-		}
-	}
-}
-
 // TestInternBatchMatchesIntern feeds the same key stream — duplicates
 // inside batches included — through per-key Intern on one store and
 // InternBatch on another, for both backends: IDs, freshness, and the final

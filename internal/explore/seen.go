@@ -10,11 +10,11 @@ const SeenDenseMaxBits = 16
 
 // Seen interns fixed-width packed keys and assigns sequential IDs 0, 1,
 // 2, … in insertion order — the visited set of the simulators' cycle
-// detection (internal/sim, internal/async, internal/stateful,
-// internal/almoststateless), whose per-step bookkeeping indexes by the
-// returned ID. Narrow keys (≤ SeenDenseMaxBits packed bits) get a
-// direct-indexed table, so interning is one bounds-checked load and store
-// with no hashing or probing; wider keys fall back to an enc.Table.
+// detection (internal/sim, internal/stateful, internal/almoststateless),
+// whose per-step bookkeeping indexes by the returned ID. Narrow keys
+// (≤ SeenDenseMaxBits packed bits) get a direct-indexed table, so
+// interning is one bounds-checked load and store with no hashing or
+// probing; wider keys fall back to an enc.Table.
 // Not safe for concurrent use.
 type Seen struct {
 	direct []int32 // id+1 per packed value; 0 = empty

@@ -30,41 +30,39 @@ import (
 // inverse, so the surviving elements form a genuine group and "minimal over
 // the subgroup" is a consistent canonical form).
 //
-// Canonicalization has three speed tiers:
+// Canonicalization is one applier and two minimizers:
 //
-//   - small materialized groups (order ≤ elementTableLimit) on single-word
-//     states: one precomputed 8×256 byte table per element, the orbit
-//     minimum is |Γ|−1 table applications — the PR 2 fast path, unchanged;
-//   - larger groups on single-word states: byte tables per GENERATOR and a
-//     BFS over the orbit, visiting each orbit element once — the orbit is
-//     at most |Γ| states but typically far smaller than the element count
-//     that the table path would touch, and the group is never materialized;
-//   - multi-word states: unpack–permute–pack per element (small groups) or
-//     per BFS step (generator-only groups).
+//   - the applier: every automorphism compiles to byte tables over the
+//     packed words. A w-word state gets w² tables of [8][256]uint64, table
+//     (i, o) mapping input word i to its contribution to output word o, so
+//     one application is 8·w² lookups ORed together;
+//   - element scan: a materialized group whose element tables fit
+//     scanBudget minimizes over the images under its |Γ|−1 non-identity
+//     elements (one-word states run through one flat loop);
+//   - orbit BFS: any other group keeps tables for its generators only and
+//     visits each orbit element once, from the state through generator
+//     images. The orbit is at most |Γ| states, and the group is never
+//     materialized.
+//
+// The choice follows from the group and the state width alone; both
+// minimizers return the unique orbit minimum.
 type Symmetry struct {
 	codec *enc.Codec
 	group *graph.Group
-	order int
 
-	// Exactly one of auts/gens is non-nil. auts holds every non-identity
-	// element of a small materialized group (minimize by enumeration);
-	// gens holds the non-identity generators of a larger group (minimize
-	// by orbit BFS).
-	auts []graph.Automorphism
-	gens []graph.Automorphism
-
-	// tables[i] is the single-word byte-lookup table of auts[i] (element
-	// path) and genTables[i] that of gens[i] (orbit-BFS path): table[b][v]
-	// is the contribution of input byte b holding value v to the packed
-	// image, so applying one automorphism is eight lookups ORed together.
-	// Both nil for multi-word states.
-	tables    [][8][256]uint64
-	genTables [][8][256]uint64
+	// scan selects the element scan; otherwise the orbit BFS runs.
+	scan bool
+	// tables holds w² byte tables per automorphism: those of every
+	// non-identity element (scan) or of every non-identity generator
+	// (BFS). tables[(a·w+i)·w+o][b][v] is the contribution of byte b of
+	// input word i, holding value v, to output word o of automorphism a's
+	// image.
+	tables [][8][256]uint64
 }
 
-// elementTableLimit bounds the per-element byte-table path: beyond this
-// group order the orbit-BFS path wins (and caps table memory at 256 KiB).
-const elementTableLimit = 128
+// scanBudget caps the element scan's tables at 2 MiB, counted in 16 KiB
+// byte tables: 128 one-word elements. Past it the orbit BFS runs instead.
+const scanBudget = 128
 
 // NewSymmetry builds the quotient context for (p, x) states packed by
 // codec, or returns nil when quotienting is unsound or trivial (invariant
@@ -91,73 +89,47 @@ func NewSymmetry(p *core.Protocol, x core.Input, codec *enc.Codec) *Symmetry {
 	if sub.Order() <= 1 {
 		return nil
 	}
-	s := &Symmetry{codec: codec, group: sub, order: sub.Order()}
-	if elems := sub.Elements(); elems != nil && len(elems) <= elementTableLimit {
-		s.auts = nonIdentity(elems)
-		if codec.Words() == 1 {
-			s.tables = buildTables(codec, s.auts)
-		}
-	} else {
-		s.gens = nonIdentity(sub.Generators())
-		if codec.Words() == 1 {
-			s.genTables = buildTables(codec, s.gens)
+	s := &Symmetry{codec: codec, group: sub}
+	w := codec.Words()
+	auts := sub.Generators() // non-identity by construction
+	if elems := sub.Elements(); elems != nil && len(elems)*w*w <= scanBudget {
+		s.scan, auts = true, nil
+		for _, a := range elems {
+			if !a.IsIdentity() {
+				auts = append(auts, a)
+			}
 		}
 	}
+	s.tables = buildTables(codec, auts)
 	return s
 }
 
-func nonIdentity(auts []graph.Automorphism) []graph.Automorphism {
-	out := make([]graph.Automorphism, 0, len(auts))
-	for _, a := range auts {
-		if !a.IsIdentity() {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// bitMove is one field relocation of a state permutation: width bits move
-// from bit offset src to bit offset dst.
-type bitMove struct {
-	src, dst, width int
-}
-
-// moves lists the field relocations induced by automorphism a: label field
+// buildTables compiles each automorphism to its w² byte tables: label field
 // e lands at Edge[e], countdown and output fields v land at Node[v].
-func moves(c *enc.Codec, a *graph.Automorphism) []bitMove {
-	var out []bitMove
-	if w := c.LabelFieldBits(); w > 0 {
-		for e := 0; e < c.M(); e++ {
-			out = append(out, bitMove{c.LabelOffset(e), c.LabelOffset(int(a.Edge[e])), w})
-		}
-	}
-	if w := c.CountdownFieldBits(); w > 0 {
-		for v := 0; v < c.N(); v++ {
-			out = append(out, bitMove{c.CountdownOffset(v), c.CountdownOffset(int(a.Node[v])), w})
-		}
-	}
-	if c.HasOutputs() {
-		for v := 0; v < c.N(); v++ {
-			out = append(out, bitMove{c.OutputOffset(v), c.OutputOffset(int(a.Node[v])), 1})
-		}
-	}
-	return out
-}
-
-func buildTables(codec *enc.Codec, auts []graph.Automorphism) [][8][256]uint64 {
-	tables := make([][8][256]uint64, len(auts))
+func buildTables(c *enc.Codec, auts []graph.Automorphism) [][8][256]uint64 {
+	w := c.Words()
+	tables := make([][8][256]uint64, len(auts)*w*w)
 	for ai := range auts {
-		tab := &tables[ai]
-		for _, mv := range moves(codec, &auts[ai]) {
-			for j := 0; j < mv.width; j++ {
-				srcBit := mv.src + j
-				dstBit := mv.dst + j
-				byteIdx, bitInByte := srcBit>>3, uint(srcBit&7)
+		a := &auts[ai]
+		// move relocates the width-bit field at bit offset src to dst.
+		move := func(src, dst, width int) {
+			for j := 0; j < width; j++ {
+				from, to := src+j, dst+j
+				tab := &tables[(ai*w+from>>6)*w+to>>6]
 				for v := 0; v < 256; v++ {
-					if v>>bitInByte&1 != 0 {
-						tab[byteIdx][v] |= 1 << uint(dstBit)
+					if v>>(from&7)&1 != 0 {
+						tab[from>>3&7][v] |= 1 << uint(to&63)
 					}
 				}
+			}
+		}
+		for e := 0; e < c.M(); e++ {
+			move(c.LabelOffset(e), c.LabelOffset(int(a.Edge[e])), c.LabelFieldBits())
+		}
+		for v := 0; v < c.N(); v++ {
+			move(c.CountdownOffset(v), c.CountdownOffset(int(a.Node[v])), c.CountdownFieldBits())
+			if c.HasOutputs() {
+				move(c.OutputOffset(v), c.OutputOffset(int(a.Node[v])), 1)
 			}
 		}
 	}
@@ -169,7 +141,7 @@ func (s *Symmetry) Order() int {
 	if s == nil {
 		return 1
 	}
-	return s.order
+	return s.group.Order()
 }
 
 // Group returns the input-invariant automorphism group being quotiented by,
@@ -181,82 +153,76 @@ func (s *Symmetry) Group() *graph.Group {
 	return s.group
 }
 
-// applyTable runs one automorphism's byte table over a single-word state.
+// applyTable runs one byte table over one packed word.
 func applyTable(t *[8][256]uint64, k uint64) uint64 {
-	return t[0][k&0xff] | t[1][k>>8&0xff] | t[2][k>>16&0xff] | t[3][k>>24&0xff] |
-		t[4][k>>32&0xff] | t[5][k>>40&0xff] | t[6][k>>48&0xff] | t[7][k>>56&0xff]
+	return t[0][uint8(k)] | t[1][uint8(k>>8)] | t[2][uint8(k>>16)] | t[3][uint8(k>>24)] |
+		t[4][uint8(k>>32)] | t[5][uint8(k>>40)] | t[6][uint8(k>>48)] | t[7][k>>56]
+}
+
+// apply writes the image of state src under automorphism a (an index into
+// the table set) to dst. One-word states skip the word loops: the one-word
+// orbit BFS calls apply once per orbit element and generator.
+func (s *Symmetry) apply(a int, src, dst []uint64) {
+	w := len(src)
+	if w == 1 {
+		dst[0] = applyTable(&s.tables[a], src[0])
+		return
+	}
+	tabs := s.tables[a*w*w : (a+1)*w*w]
+	clear(dst)
+	for i, k := range src {
+		for o := range dst {
+			dst[o] |= applyTable(&tabs[i*w+o], k)
+		}
+	}
 }
 
 // Canon is one worker's canonicalization scratch over a shared Symmetry.
 // Not safe for concurrent use; create one per worker via NewCanon.
 type Canon struct {
-	s      *Symmetry
-	labels core.Labeling
-	cd     []uint8
-	out    []core.Bit
-	plab   core.Labeling
-	pcd    []uint8
-	pout   []core.Bit
-	cand   []uint64
-	pimg   []uint64
-	best   []uint64
-
-	// Orbit-BFS scratch: single-word visited set and queue, and their
-	// multi-word counterparts (queue holds states back to back; the
-	// visited set keys on the raw word bytes).
-	seen1  map[uint64]struct{}
-	queue1 []uint64
-	seenW  map[string]struct{}
-	queueW []uint64
-	keyBuf []byte
+	s         *Symmetry
+	img, best []uint64 // an image; the element scan's running minimum
+	// seen is the BFS visited set, reset per state. IDs follow discovery
+	// order, so its arena doubles as the queue.
+	seen *enc.Table
 }
 
 // NewCanon returns a fresh canonicalization scratch.
 func (s *Symmetry) NewCanon() *Canon {
-	return &Canon{s: s}
+	w := s.codec.Words()
+	c := &Canon{s: s, img: make([]uint64, w), best: make([]uint64, w)}
+	if !s.scan {
+		// Sized for a whole orbit (at most |Γ| states, up to the
+		// materialization limit) at quarter load, so probe chains stay
+		// short.
+		c.seen = enc.NewTable(w, 2*min(s.Order(), graph.MaterializeLimit))
+	}
+	return c
 }
 
 // Canonicalize rewrites key in place to the minimal packed state of its
 // orbit (minimal as an unsigned integer in the packed-word encoding, most
 // significant word first) and returns it. The orbit of (ℓ, x⃗, y⃗) under an
 // automorphism π is (ℓ∘π⁻¹ on edges, countdowns and outputs permuted by π
-// on nodes). Small materialized groups enumerate every element; larger
-// groups BFS the orbit via the generators (sound because every element of a
-// finite group is a positive word in the generators, so the BFS covers the
-// whole orbit).
+// on nodes). The element scan enumerates every element; the orbit BFS
+// follows the generators, which is sound because every element of a finite
+// group is a positive word in the generators, so the BFS covers the whole
+// orbit.
 func (c *Canon) Canonicalize(key []uint64) []uint64 {
-	s := c.s
-	switch {
-	case s.tables != nil:
-		k := key[0]
-		best := k
-		for ai := range s.tables {
-			if cand := applyTable(&s.tables[ai], k); cand < best {
-				best = cand
-			}
-		}
-		key[0] = best
-		return key
-	case s.genTables != nil:
-		key[0] = c.orbitMinFast(key[0])
-		return key
-	case s.auts != nil:
-		return c.slowCanonicalize(key)
-	default:
-		return c.orbitMinSlow(key)
-	}
+	c.CanonicalizeBatch(key, 1)
+	return key
 }
 
 // CanonicalizeBatch rewrites count keys, packed back to back in block, to
-// their orbit minima — the batch counterpart of Canonicalize. On the
-// single-word element path the whole block runs through one flat loop over
-// the precomputed byte tables (the table slice header and bounds are
-// hoisted out of the per-state work instead of being re-derived per call);
-// the other paths fall back to the per-key routine.
+// their orbit minima — the batch counterpart of Canonicalize. One-word
+// element scans run the whole block through one flat loop over the byte
+// tables (the table slice header and bounds are hoisted out of the
+// per-state work); the other cases minimize key by key.
 func (c *Canon) CanonicalizeBatch(block []uint64, count int) {
 	s := c.s
+	w := s.codec.Words()
 	switch {
-	case s.tables != nil:
+	case s.scan && w == 1:
 		tables := s.tables
 		for i := 0; i < count; i++ {
 			k := block[i]
@@ -268,137 +234,50 @@ func (c *Canon) CanonicalizeBatch(block []uint64, count int) {
 			}
 			block[i] = best
 		}
-	case s.genTables != nil:
+	case s.scan:
 		for i := 0; i < count; i++ {
-			block[i] = c.orbitMinFast(block[i])
+			c.scanMin(block[i*w : (i+1)*w])
 		}
 	default:
-		w := s.codec.Words()
 		for i := 0; i < count; i++ {
-			c.Canonicalize(block[i*w : (i+1)*w])
+			c.orbitMin(block[i*w : (i+1)*w])
 		}
 	}
 }
 
-// orbitMinFast BFS-enumerates the orbit of a single-word state under the
-// generator byte tables and returns its minimum. Each orbit element is
-// visited exactly once; the visited set and queue are reused across calls.
-func (c *Canon) orbitMinFast(k uint64) uint64 {
-	if c.seen1 == nil {
-		c.seen1 = make(map[uint64]struct{}, 64)
-	} else {
-		clear(c.seen1)
-	}
-	c.queue1 = append(c.queue1[:0], k)
-	c.seen1[k] = struct{}{}
-	best := k
-	for head := 0; head < len(c.queue1); head++ {
-		cur := c.queue1[head]
-		for ti := range c.s.genTables {
-			img := applyTable(&c.s.genTables[ti], cur)
-			if _, ok := c.seen1[img]; ok {
-				continue
-			}
-			c.seen1[img] = struct{}{}
-			c.queue1 = append(c.queue1, img)
-			if img < best {
-				best = img
-			}
-		}
-	}
-	return best
-}
-
-// orbitMinSlow is the multi-word generator-BFS path: apply each generator
-// by unpack–permute–pack and key the visited set on the raw word bytes.
-func (c *Canon) orbitMinSlow(key []uint64) []uint64 {
-	s := c.s
-	w := s.codec.Words()
-	if c.seenW == nil {
-		c.seenW = make(map[string]struct{}, 64)
-	} else {
-		clear(c.seenW)
-	}
-	c.queueW = append(c.queueW[:0], key...)
-	c.seenW[string(c.wordBytes(key))] = struct{}{}
-	c.best = append(c.best[:0], key...)
-	for head := 0; head*w < len(c.queueW); head++ {
-		// Images are appended to queueW during the walk, which may grow the
-		// backing array; copy the current state out first.
-		c.cand = append(c.cand[:0], c.queueW[head*w:(head+1)*w]...)
-		cur := c.cand
-		for i := range s.gens {
-			img := c.apply(&s.gens[i], cur)
-			kb := c.wordBytes(img)
-			if _, ok := c.seenW[string(kb)]; ok {
-				continue
-			}
-			c.seenW[string(kb)] = struct{}{}
-			c.queueW = append(c.queueW, img...)
-			if wordsLess(img, c.best) {
-				c.best = append(c.best[:0], img...)
-			}
+// scanMin rewrites a multi-word key to the minimum of its images under
+// every group element.
+func (c *Canon) scanMin(key []uint64) {
+	copy(c.best, key)
+	for a := 0; a < len(c.s.tables)/(len(key)*len(key)); a++ {
+		c.s.apply(a, key, c.img)
+		if wordsLess(c.img, c.best) {
+			copy(c.best, c.img)
 		}
 	}
 	copy(key, c.best)
-	return key
 }
 
-// wordBytes serializes a packed state into the reusable key buffer.
-func (c *Canon) wordBytes(words []uint64) []byte {
-	c.keyBuf = c.keyBuf[:0]
-	for _, w := range words {
-		c.keyBuf = append(c.keyBuf,
-			byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
-			byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
-	}
-	return c.keyBuf
-}
-
-// apply computes the image of packed state src under automorphism a by
-// unpack–permute–pack into c's scratch (the result aliases a scratch buffer
-// that the next apply call overwrites).
-func (c *Canon) apply(a *graph.Automorphism, src []uint64) []uint64 {
-	codec := c.s.codec
-	c.labels = codec.UnpackLabels(src, c.labels)
-	if codec.N() > 0 {
-		c.cd = codec.UnpackCountdown(src, c.cd)
-		if codec.HasOutputs() {
-			c.out = codec.UnpackOutputs(src, c.out)
+// orbitMin BFS-enumerates the orbit of key under the generator tables and
+// rewrites key to its minimum, visiting each orbit element once.
+func (c *Canon) orbitMin(key []uint64) {
+	seen := c.seen
+	seen.Reset()
+	seen.Intern(key)
+	best := 0
+	gens := len(c.s.tables) / (len(key) * len(key))
+	for head := 0; head < seen.Len(); head++ {
+		// Interning only appends to the arena, so cur stays intact even
+		// when an append moves the arena elsewhere.
+		cur := seen.At(head)
+		for g := 0; g < gens; g++ {
+			c.s.apply(g, cur, c.img)
+			if id, fresh := seen.Intern(c.img); fresh && wordsLess(c.img, seen.At(best)) {
+				best = id
+			}
 		}
 	}
-	c.plab = ensureLabels(c.plab, len(c.labels))
-	c.pcd = ensureU8(c.pcd, len(c.cd))
-	c.pout = ensureBits(c.pout, len(c.out))
-	for e, l := range c.labels {
-		c.plab[a.Edge[e]] = l
-	}
-	for v := range c.cd {
-		c.pcd[a.Node[v]] = c.cd[v]
-	}
-	for v := range c.out {
-		c.pout[a.Node[v]] = c.out[v]
-	}
-	c.pimg = codec.Pack(c.plab, c.pcd, c.pout, c.pimg)
-	return c.pimg
-}
-
-// slowCanonicalize is the multi-word element-enumeration path for small
-// materialized groups.
-func (c *Canon) slowCanonicalize(key []uint64) []uint64 {
-	s := c.s
-	best := key
-	for i := range s.auts {
-		img := c.apply(&s.auts[i], key)
-		if wordsLess(img, best) {
-			c.best = append(c.best[:0], img...)
-			best = c.best
-		}
-	}
-	if &best[0] != &key[0] {
-		copy(key, best)
-	}
-	return key
+	copy(key, seen.At(best))
 }
 
 // wordsLess orders packed states as unsigned integers (word 0 least
@@ -410,25 +289,4 @@ func wordsLess(a, b []uint64) bool {
 		}
 	}
 	return false
-}
-
-func ensureLabels(buf core.Labeling, n int) core.Labeling {
-	if cap(buf) < n {
-		return make(core.Labeling, n)
-	}
-	return buf[:n]
-}
-
-func ensureU8(buf []uint8, n int) []uint8 {
-	if cap(buf) < n {
-		return make([]uint8, n)
-	}
-	return buf[:n]
-}
-
-func ensureBits(buf []core.Bit, n int) []core.Bit {
-	if cap(buf) < n {
-		return make([]core.Bit, n)
-	}
-	return buf[:n]
 }

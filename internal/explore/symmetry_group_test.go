@@ -121,35 +121,55 @@ func refApply(codec *enc.Codec, a graph.Automorphism, labels core.Labeling, cd [
 	return codec.Pack(pl, pcd, po, nil)
 }
 
-// TestOrbitMinMatchesBruteForce cross-checks every canonicalization tier —
-// element byte tables, generator-BFS byte tables, multi-word element
-// enumeration, multi-word generator BFS — against minimization over the
-// fully materialized group on random states.
+// TestOrbitMinMatchesBruteForce cross-checks both minimizers — element
+// scan and orbit BFS, over one- and two-word states — against minimization
+// over the fully materialized group on random states. Rows are named
+// topology/minimizer (tables: element scan, gen-bfs: orbit BFS), with a -2w
+// suffix for two-word states; each row pins the minimizer and width
+// NewSymmetry picks for it. The ring rows quotient a merely uniform
+// protocol by its order-preserving rotations. Every row tracks outputs.
 func TestOrbitMinMatchesBruteForce(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
-		q    uint64
-		r    int
+		name    string
+		g       *graph.Graph
+		q       uint64
+		r       int
+		uniform bool // uniform, not symmetric: order-preserving group only
+		scan    bool // element scan; otherwise orbit BFS
+		words   int
 	}{
-		// 1-word, |Γ| ≤ elementTableLimit → element tables.
-		{"bidir-ring5/tables", graph.BidirectionalRing(5), 2, 2},
-		{"cube3/tables", graph.Hypercube(3), 2, 2},
-		{"torus3x3/tables", graph.Torus(3, 3), 2, 1},
-		// 1-word, |Γ| = 720 > elementTableLimit → generator-BFS tables.
-		{"clique6/gen-bfs", graph.Clique(6), 2, 1},
-		// 2 words, |Γ| = 9 → multi-word element enumeration.
-		{"torus3x3-q4/slow", graph.Torus(3, 3), 4, 2},
-		// 2 words, |Γ| = 384 → multi-word generator BFS.
-		{"cube4/gen-bfs-slow", graph.Hypercube(4), 2, 1},
+		// One word, |Γ| ≤ 128: element scan.
+		{"ring3/tables", graph.Ring(3), 3, 3, true, true, 1},
+		{"ring5/tables", graph.Ring(5), 3, 3, true, true, 1},
+		{"ring7/tables", graph.Ring(7), 3, 3, true, true, 1},
+		{"bidir-ring5/tables", graph.BidirectionalRing(5), 2, 2, false, true, 1},
+		{"cube3/tables", graph.Hypercube(3), 2, 2, false, true, 1},
+		{"torus3x3/tables", graph.Torus(3, 3), 2, 1, false, true, 1},
+		// One word, |Γ| = 720: orbit BFS.
+		{"clique6/gen-bfs", graph.Clique(6), 2, 1, false, false, 1},
+		// Two words, |Γ| = 9: element scan.
+		{"torus3x3-q4/tables-2w", graph.Torus(3, 3), 4, 2, false, true, 2},
+		// Two words, |Γ| = 384: orbit BFS.
+		{"cube4/gen-bfs-2w", graph.Hypercube(4), 2, 1, false, false, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := symmetricProtocol(t, tc.g, tc.q)
+			if tc.uniform {
+				var err error
+				p, err = core.NewUniformProtocol(tc.g, core.MustLabelSpace(tc.q),
+					func(in []core.Label, _ core.Bit, out []core.Label) core.Bit { out[0] = in[0]; return 0 })
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
 			n, m := tc.g.N(), tc.g.M()
 			codec := enc.NewStateCodec(p.Space(), m, n, tc.r, true)
 			sym := NewSymmetry(p, make(core.Input, n), codec)
 			if sym == nil {
 				t.Fatal("expected a non-trivial quotient")
+			}
+			if sym.scan != tc.scan || codec.Words() != tc.words {
+				t.Fatalf("scan = %v over %d words, want %v over %d", sym.scan, codec.Words(), tc.scan, tc.words)
 			}
 			elems := sym.Group().Elements()
 			if elems == nil {
@@ -163,12 +183,12 @@ func TestOrbitMinMatchesBruteForce(t *testing.T) {
 			labels := make(core.Labeling, m)
 			cd := make([]uint8, n)
 			outs := make([]core.Bit, n)
-			for trial := 0; trial < 50; trial++ {
+			for trial := 0; trial < 200; trial++ {
 				for e := range labels {
 					labels[e] = core.Label(rng.Uint64N(tc.q))
 				}
 				for v := range cd {
-					cd[v] = uint8(1 + rng.IntN(tc.r))
+					cd[v] = uint8(rng.IntN(tc.r + 1))
 					outs[v] = core.Bit(rng.IntN(2))
 				}
 				key := codec.Pack(labels, cd, outs, nil)
@@ -240,6 +260,56 @@ func FuzzOrbitMinDihedral(f *testing.F) {
 		}
 		if got[0] != best[0] {
 			t.Fatalf("canonical %x, dihedral brute-force minimum %x", got, best)
+		}
+	})
+}
+
+// FuzzOrbitMinMultiWord is the two-word counterpart of the one-word
+// canonicalization fuzzers: arbitrary states of a |Σ| = 4 protocol on
+// Torus(3,3) (72 label bits plus countdowns, two packed words) must
+// canonicalize to the minimum over all 9 translations.
+func FuzzOrbitMinMultiWord(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint16(0))
+	f.Add(uint64(0x0123456789abcdef), uint64(0xfe), uint16(0x1a5))
+	f.Add(^uint64(0), ^uint64(0), ^uint16(0))
+	const q, r = 4, 2
+	g := graph.Torus(3, 3)
+	p, err := core.NewSymmetricProtocol(g, core.MustLabelSpace(q),
+		func(in []core.Label, _ core.Bit) (core.Label, core.Bit) { return 0, 0 })
+	if err != nil {
+		f.Fatal(err)
+	}
+	n, m := g.N(), g.M()
+	codec := enc.NewStateCodec(p.Space(), m, n, r, false)
+	// The Symmetry is immutable, so one serves every input.
+	sym := NewSymmetry(p, make(core.Input, n), codec)
+	if sym.Order() != 9 || codec.Words() != 2 {
+		f.Fatalf("|Γ| = %d over %d words, want 9 over 2", sym.Order(), codec.Words())
+	}
+	f.Fuzz(func(t *testing.T, rawA, rawB uint64, rawCd uint16) {
+		labels := make(core.Labeling, m)
+		for e := range labels {
+			raw := rawA
+			if e >= 32 {
+				raw = rawB
+			}
+			labels[e] = core.Label(raw >> (2 * uint(e%32)) & 3)
+		}
+		cd := make([]uint8, n)
+		for v := range cd {
+			cd[v] = 1 + uint8(rawCd>>v&1)
+		}
+		key := codec.Pack(labels, cd, nil, nil)
+		got := append([]uint64(nil), key...)
+		sym.NewCanon().Canonicalize(got)
+		best := append([]uint64(nil), key...)
+		for _, a := range sym.Group().Elements() {
+			if img := refApply(codec, a, labels, cd, nil); wordsLess(img, best) {
+				best = img
+			}
+		}
+		if got[0] != best[0] || got[1] != best[1] {
+			t.Fatalf("canonical %x, translation brute-force minimum %x", got, best)
 		}
 	})
 }

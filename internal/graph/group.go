@@ -14,7 +14,7 @@ import (
 //
 // Small groups (order ≤ MaterializeLimit) are materialized eagerly by
 // closure BFS over the generators, which keeps the explore layer's
-// per-element byte-table fast path available. Larger groups — the
+// element scan available. Larger groups — the
 // hypercube's signed permutations have order 2^d·d!, far past any sensible
 // table budget — stay generator-only: Order is computed by a
 // stabilizer-chain (orbit × stabilizer) recursion and orbits are enumerated

@@ -134,9 +134,9 @@ var stabBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 1638
 
 // Record attaches the run's outcome to m: run/step counters, a per-status
 // counter, and rounds-to-stabilize / cycle-length histograms. No-op when m
-// is nil. Every simulator frontend (sim.Run, async.Runtime.Run, and the
-// stateful/almost-stateless runners' own Record methods) reports through
-// this shape, so sweeps aggregate uniformly.
+// is nil. Every simulator frontend (sim.Run and the stateful/almost-
+// stateless runners' own Record methods) reports through this shape, so
+// sweeps aggregate uniformly.
 func (r Result) Record(m *obs.Registry) {
 	if m == nil {
 		return

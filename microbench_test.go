@@ -7,6 +7,7 @@ import (
 	"stateless/internal/enc"
 	"stateless/internal/explore"
 	"stateless/internal/graph"
+	"stateless/internal/protocols"
 )
 
 // Per-stage micro-benchmarks of the exploration hot path — step → pack →
@@ -122,11 +123,15 @@ func BenchmarkPack(b *testing.B) {
 	})
 }
 
-// BenchmarkCanonicalize measures symmetry canonicalization (the n rotation
-// automorphisms of the ring, single-word table path): Canon.Canonicalize
-// per key versus one Canon.CanonicalizeBatch over the block. Keys are
-// canonical after the first pass; the min-search over the orbit costs the
-// same either way, so re-canonicalizing measures steady-state work.
+// BenchmarkCanonicalize measures symmetry canonicalization. The ring rows
+// (the n rotations, one-word element scan) compare Canon.Canonicalize per
+// key with one Canon.CanonicalizeBatch over the block. The zoo rows cover
+// the other minimizer × width combinations, batched: SaturatingNet on
+// Clique(6) (|Γ| = 720, one-word orbit BFS), on Torus(3,3) with |Σ| = 4
+// (|Γ| = 9, two-word element scan) and on Hypercube(4) (|Γ| = 384,
+// two-word orbit BFS). Keys are canonical after the first pass; the
+// min-search over the orbit costs the same either way, so
+// re-canonicalizing measures steady-state work.
 func BenchmarkCanonicalize(b *testing.B) {
 	p := benchRingProtocol(b, microRingN)
 	g := p.Graph()
@@ -160,6 +165,42 @@ func BenchmarkCanonicalize(b *testing.B) {
 		}
 		b.ReportMetric(float64(count)*float64(b.N)/b.Elapsed().Seconds(), "succ/s")
 	})
+
+	for _, tc := range []struct {
+		name         string
+		g            *graph.Graph
+		sigma        uint64
+		order, words int
+	}{
+		{"clique6/bfs-1w", graph.Clique(6), 2, 720, 1},
+		{"torus3x3/scan-2w", graph.Torus(3, 3), 4, 9, 2},
+		{"cube4/bfs-2w", graph.Hypercube(4), 2, 384, 2},
+	} {
+		zp, err := protocols.SaturatingNet(tc.g, tc.sigma)
+		if err != nil {
+			b.Fatal(err)
+		}
+		zm, zn := tc.g.M(), tc.g.N()
+		zcodec := enc.NewStateCodec(zp.Space(), zm, zn, r, false)
+		zsym := explore.NewSymmetry(zp, make(core.Input, zn), zcodec)
+		if zsym.Order() != tc.order || zcodec.Words() != tc.words {
+			b.Fatalf("%s: |Γ| = %d over %d words, want %d over %d",
+				tc.name, zsym.Order(), zcodec.Words(), tc.order, tc.words)
+		}
+		// Orbit BFS costs up to |Γ| images per state, so these rows use a
+		// smaller block than the ring's 63 successors.
+		const zcount = 16
+		zlabels, zcds, _ := microRows(zcount, zm, zn, r, tc.sigma)
+		zblock := zcodec.PackBatch(zcount, zlabels, zcds, nil, nil)
+		b.Run(tc.name, func(b *testing.B) {
+			canon := zsym.NewCanon()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				canon.CanonicalizeBatch(zblock, zcount)
+			}
+			b.ReportMetric(float64(zcount)*float64(b.N)/b.Elapsed().Seconds(), "succ/s")
+		})
+	}
 }
 
 // BenchmarkIntern measures visited-set interning on both store backends:
