@@ -61,7 +61,10 @@ func New(p *core.Protocol, x core.Input, l0 core.Labeling) (*Runtime, error) {
 	}
 	for i, l := range l0 {
 		if !p.Space().Contains(l) {
-			// Packed cycle keys are injective only for in-space labels.
+			// l0 must be a configuration in Σ^E: reactions are defined
+			// only on Σ, and the reference simulator this runtime is
+			// checked against (internal/sim) keys its cycle detection on
+			// packed labelings, which are injective only on Σ.
 			return nil, fmt.Errorf("async: l0[%d] = %d outside %v", i, l, p.Space())
 		}
 	}

@@ -164,13 +164,6 @@ type Stepper struct {
 	p   *Protocol
 	in  []Label
 	out []Label
-
-	// StepBatch scratch: each node's reaction is evaluated at most once per
-	// batch; reactLabels is indexed by EdgeID (a node's reaction writes its
-	// out-edges), reactOuts/reacted by NodeID.
-	reactLabels []Label
-	reactOuts   []Bit
-	reacted     []bool
 }
 
 // NewStepper returns a Stepper for p with buffers sized to its maximum
@@ -209,6 +202,31 @@ func (s *Stepper) Step(x Input, cur Config, next *Config, active []graph.NodeID)
 		}
 	}
 	return changed
+}
+
+// Reactions evaluates every node's reaction against the pre-step labeling
+// once, writing node v's out-going edge labels into labels (indexed by
+// EdgeID; every edge is written, since every edge has exactly one source)
+// and its output bit into outs (indexed by NodeID). δ_i is a pure function
+// of the pre-step labeling (the statelessness contract), so these n values
+// determine the successor under every activation set: Step(T) keeps cur
+// outside T's out-edges and outputs and takes the reacted values inside.
+// The states-graph verifier (internal/verify) builds all 2^n − 1
+// successors of a state from them by bit-patching its packed words, without
+// materializing a configuration per activation set.
+//
+// Not safe for concurrent use (shares the Stepper's buffers).
+func (s *Stepper) Reactions(x Input, cur Config, labels []Label, outs []Bit) {
+	g := s.p.Graph()
+	for v := 0; v < g.N(); v++ {
+		node := graph.NodeID(v)
+		in := s.in[:g.InDegree(node)]
+		out := s.out[:g.OutDegree(node)]
+		outs[v] = s.p.React(node, cur.Labels, x[node], in, out)
+		for i, id := range g.Out(node) {
+			labels[id] = out[i]
+		}
+	}
 }
 
 // IsStable is IsStable with the Stepper's reusable buffers.

@@ -1,8 +1,11 @@
 // Package enc provides the packed state encoding that the state-space
-// engines (internal/verify, internal/sim, internal/async) key on. A state —
-// a labeling ℓ ∈ Σ^E, optionally extended with the Theorem 3.1 per-node
-// inactivity countdown and the per-node output vector — is bit-packed into
-// ⌈bits/64⌉ uint64 words, and interned in an open-addressing Table whose
+// engines key on: the states-graph verifier (internal/verify, through the
+// stores and symmetry quotient of internal/explore) and the
+// configuration-cycle detectors of internal/sim, internal/stateful and
+// internal/almoststateless (through explore.Seen). A state — a labeling
+// ℓ ∈ Σ^E, optionally extended with the Theorem 3.1 per-node inactivity
+// countdown and the per-node output vector — is bit-packed into ⌈bits/64⌉
+// uint64 words, and interned in an open-addressing Table whose
 // keys live in one contiguous arena. Compared to the former
 // map[string]int keying (8 bytes per edge per freshly allocated string),
 // packing does zero per-state allocations and shrinks a state to
@@ -32,8 +35,8 @@ type Codec struct {
 }
 
 // NewLabelCodec returns a codec for bare labelings ℓ ∈ Σ^E on m edges —
-// the layout used for configuration-cycle detection in internal/sim and
-// internal/async.
+// the layout used for configuration-cycle detection in internal/sim,
+// internal/stateful and internal/almoststateless.
 func NewLabelCodec(space core.LabelSpace, m int) *Codec {
 	return NewStateCodec(space, m, 0, 0, false)
 }
@@ -175,65 +178,6 @@ func (c *Codec) Pack(l core.Labeling, cd []uint8, out []core.Bit, dst []uint64) 
 	return dst
 }
 
-// PackBatch packs count states stored flat — labels count×m, cd count×n,
-// out count×n (nil when the codec has no countdown/output section) — into
-// dst as count Words()-word keys back to back, and returns the block
-// (reused when large enough). It is the batch counterpart of Pack: state s
-// occupies dst[s*Words() : (s+1)*Words()], bit-identical to packing each
-// row with Pack. Single-word layouts (the common case for the dense store)
-// take an accumulator fast path that packs a whole state without per-field
-// calls or intermediate stores, which is what keeps packing out of the
-// states-graph engine's per-successor profile.
-func (c *Codec) PackBatch(count int, l core.Labeling, cd []uint8, out []core.Bit, dst []uint64) []uint64 {
-	need := count * c.words
-	if cap(dst) < need {
-		dst = make([]uint64, need)
-	} else {
-		dst = dst[:need]
-	}
-	if c.words == 1 {
-		lMask, cdMask := maskOf(c.labelBits), maskOf(c.cdBits)
-		lBits, cdBits := int(c.labelBits), int(c.cdBits)
-		li, ci, oi := 0, 0, 0
-		for s := 0; s < count; s++ {
-			var w uint64
-			off := 0
-			for e := 0; e < c.m; e++ {
-				w |= (uint64(l[li]) & lMask) << uint(off)
-				off += lBits
-				li++
-			}
-			for v := 0; v < c.n; v++ {
-				w |= (uint64(cd[ci]) & cdMask) << uint(off)
-				off += cdBits
-				ci++
-			}
-			if c.outputs {
-				for v := 0; v < c.n; v++ {
-					w |= uint64(out[oi]&1) << uint(off)
-					off++
-					oi++
-				}
-			}
-			dst[s] = w
-		}
-		return dst
-	}
-	for s := 0; s < count; s++ {
-		row := dst[s*c.words : (s+1)*c.words]
-		var cdRow []uint8
-		if c.n > 0 {
-			cdRow = cd[s*c.n : (s+1)*c.n]
-		}
-		var outRow []core.Bit
-		if c.outputs {
-			outRow = out[s*c.n : (s+1)*c.n]
-		}
-		c.Pack(l[s*c.m:(s+1)*c.m], cdRow, outRow, row)
-	}
-	return dst
-}
-
 // UnpackLabels decodes the labels section into dst (reused when large
 // enough) and returns it.
 func (c *Codec) UnpackLabels(src []uint64, dst core.Labeling) core.Labeling {
@@ -276,46 +220,6 @@ func (c *Codec) UnpackOutputs(src []uint64, dst []core.Bit) []core.Bit {
 		off++
 	}
 	return dst
-}
-
-// equalBits compares the bit range [from, to) of two packed states.
-func equalBits(a, b []uint64, from, to int) bool {
-	if from >= to {
-		return true
-	}
-	fw, lw := from>>6, (to-1)>>6
-	for wi := fw; wi <= lw; wi++ {
-		av, bv := a[wi], b[wi]
-		if wi == fw {
-			lo := uint(from & 63)
-			av >>= lo
-			bv >>= lo
-			av <<= lo
-			bv <<= lo
-		}
-		if wi == lw {
-			used := uint(to - wi<<6)
-			av &= maskOf(used)
-			bv &= maskOf(used)
-		}
-		if av != bv {
-			return false
-		}
-	}
-	return true
-}
-
-// LabelsEqual reports whether two packed states carry identical labelings,
-// ignoring countdown and output sections.
-func (c *Codec) LabelsEqual(a, b []uint64) bool {
-	return equalBits(a, b, 0, c.labelPrefixBits)
-}
-
-// OutputsEqual reports whether two packed states carry identical output
-// vectors. Only valid on codecs constructed with outputs = true.
-func (c *Codec) OutputsEqual(a, b []uint64) bool {
-	from := c.labelPrefixBits + c.n*int(c.cdBits)
-	return equalBits(a, b, from, from+c.n)
 }
 
 // CompareLabels orders two packed states by their label sections. The order

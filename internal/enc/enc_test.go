@@ -91,8 +91,8 @@ func TestPackInjective(t *testing.T) {
 	}
 }
 
-// TestSectionComparisons exercises LabelsEqual / OutputsEqual and the
-// canonical orderings on states that agree on one section but not another.
+// TestSectionComparisons exercises the canonical orderings on states that
+// agree on one section but not another.
 func TestSectionComparisons(t *testing.T) {
 	space := core.MustLabelSpace(5)
 	codec := enc.NewStateCodec(space, 7, 4, 3, true)
@@ -108,23 +108,17 @@ func TestSectionComparisons(t *testing.T) {
 	sameLabels2 := codec.Pack(l1, cdB, outB, nil)
 	diffLabels := codec.Pack(l2, cdA, outA, nil)
 
-	if !codec.LabelsEqual(sameLabels1, sameLabels2) {
-		t.Fatal("states with equal labels but different countdown/outputs must be LabelsEqual")
-	}
-	if codec.LabelsEqual(sameLabels1, diffLabels) {
-		t.Fatal("states with different labels must not be LabelsEqual")
-	}
-	if !codec.OutputsEqual(sameLabels1, diffLabels) {
-		t.Fatal("states with equal outputs must be OutputsEqual")
-	}
-	if codec.OutputsEqual(sameLabels1, sameLabels2) {
-		t.Fatal("states with different outputs must not be OutputsEqual")
-	}
 	if codec.CompareLabels(sameLabels1, sameLabels2) != 0 {
 		t.Fatal("CompareLabels must ignore non-label sections")
 	}
 	if c1, c2 := codec.CompareLabels(sameLabels1, diffLabels), codec.CompareLabels(diffLabels, sameLabels1); c1 == 0 || c2 == 0 || c1 == c2 {
 		t.Fatalf("CompareLabels must totally order distinct labelings, got %d/%d", c1, c2)
+	}
+	if codec.CompareOutputs(sameLabels1, diffLabels) != 0 {
+		t.Fatal("CompareOutputs must ignore non-output sections")
+	}
+	if c1, c2 := codec.CompareOutputs(sameLabels1, sameLabels2), codec.CompareOutputs(sameLabels2, sameLabels1); c1 == 0 || c2 == 0 || c1 == c2 {
+		t.Fatalf("CompareOutputs must totally order distinct output vectors, got %d/%d", c1, c2)
 	}
 }
 
@@ -198,80 +192,5 @@ func TestTableReset(t *testing.T) {
 	}
 	if got := tab.Stats().Slots; got != slots {
 		t.Fatalf("slot count %d after refill, want %d", got, slots)
-	}
-}
-
-// TestPackBatchMatchesPack pins the batch packer to the single-state path:
-// for random flat slabs of states, PackBatch's block must be bit-identical
-// to packing every row with Pack — across single-word layouts (the
-// accumulator fast path) and multi-word layouts (the generic path), with
-// and without countdown/output sections.
-func TestPackBatchMatchesPack(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 13))
-	for _, tc := range []struct {
-		size    uint64
-		m, n, r int
-		outputs bool
-	}{
-		{3, 6, 6, 3, false}, // the benchmark ring layout: 24 bits, 1 word
-		{3, 6, 6, 3, true},  // with outputs: 30 bits, 1 word
-		{2, 4, 0, 0, false}, // bare labels
-		{5, 20, 9, 7, true}, // multi-word
-		{9, 30, 16, 255, true},
-		{1, 3, 2, 1, false}, // degenerate |Σ| = 1 (zero-width labels)
-	} {
-		space := core.MustLabelSpace(tc.size)
-		codec := enc.NewStateCodec(space, tc.m, tc.n, tc.r, tc.outputs)
-		for trial := 0; trial < 50; trial++ {
-			count := 1 + rng.IntN(70)
-			labels := make(core.Labeling, count*tc.m)
-			for i := range labels {
-				labels[i] = core.Label(rng.Uint64N(tc.size))
-			}
-			var cds []uint8
-			if tc.n > 0 {
-				cds = make([]uint8, count*tc.n)
-				for i := range cds {
-					cds[i] = uint8(rng.IntN(tc.r + 1))
-				}
-			}
-			var outs []core.Bit
-			if tc.outputs {
-				outs = make([]core.Bit, count*tc.n)
-				for i := range outs {
-					outs[i] = core.Bit(rng.IntN(2))
-				}
-			}
-			block := codec.PackBatch(count, labels, cds, outs, nil)
-			if len(block) != count*codec.Words() {
-				t.Fatalf("%+v: block has %d words for %d states of %d words", tc, len(block), count, codec.Words())
-			}
-			var single []uint64
-			for s := 0; s < count; s++ {
-				var cdRow []uint8
-				if tc.n > 0 {
-					cdRow = cds[s*tc.n : (s+1)*tc.n]
-				}
-				var outRow []core.Bit
-				if tc.outputs {
-					outRow = outs[s*tc.n : (s+1)*tc.n]
-				}
-				single = codec.Pack(labels[s*tc.m:(s+1)*tc.m], cdRow, outRow, single)
-				for w := range single {
-					if block[s*codec.Words()+w] != single[w] {
-						t.Fatalf("%+v trial %d state %d word %d: batch %x != single %x",
-							tc, trial, s, w, block[s*codec.Words()+w], single[w])
-					}
-				}
-			}
-			// Reuse: a second call into the same (dirty) block must produce
-			// identical words.
-			again := codec.PackBatch(count, labels, cds, outs, block)
-			for i := range again {
-				if again[i] != block[i] {
-					t.Fatalf("%+v: PackBatch not stable under buffer reuse", tc)
-				}
-			}
-		}
 	}
 }

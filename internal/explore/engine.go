@@ -54,8 +54,8 @@ func (b *Batch) Len() int { return b.count }
 func (b *Batch) WordsPerKey() int { return b.wpk }
 
 // Alloc sizes the batch for exactly count keys and returns the backing
-// block of count·WordsPerKey words for direct filling (the shape
-// enc.Codec.PackBatch produces). The block's previous contents are
+// block of count·WordsPerKey words for direct filling, key i at
+// [i·WordsPerKey, (i+1)·WordsPerKey). The block's previous contents are
 // arbitrary; callers overwrite every word.
 func (b *Batch) Alloc(count int) []uint64 {
 	b.count = count

@@ -435,23 +435,26 @@ func newExplorer(p *core.Protocol, x core.Input, r int, trackOutputs bool, opts 
 
 // expander is one worker's expansion scratch; expansion does zero per-state
 // heap allocation once the buffers are warm. One Expand call produces the
-// whole successor batch of a state: activation sets are enumerated into a
-// flat arena, stepped in one core.Stepper.StepBatch call (each node's
-// reaction is computed once per state instead of once per subset), packed in
-// one enc.Codec.PackBatch call, and canonicalized block-wise.
+// whole successor batch of a state by a subset DP over the packed words and
+// canonicalizes it block-wise.
+//
+// The DP rests on one observation: a node's activation rewrites a fixed,
+// per-node set of bits of the packed state — its out-edge label fields, its
+// countdown field, and its output bit — and those bit sets are disjoint
+// across nodes (every edge has one source). So once each node's reaction is
+// known, a successor is two ALU ops per word away from any successor whose
+// activation set differs by one node. The per-node rows hold one entry per
+// packed word, stored word-major (word j of node v at [j*n+v]), so the DP
+// over word j is a plain one-word loop.
 type expander struct {
 	e       *explorer
 	stepper *core.Stepper
 	canon   *explore.Canon
 	cur     core.Config
 	cd      []uint8
-	cdDec   []uint8 // cd − 1: the countdown base shared by all successors
 	free    []int
-	sets    core.ActivationSets
-	batch   *core.ConfigBatch
-	cds     []uint8 // flat count×n successor countdowns
-	changed []bool  // per-successor section-change flags (vs the raw block)
-	keepRaw bool    // witness pass: retain the pre-canonical block in raw
+	changed []bool // per-successor section-change flags (vs the raw block)
+	keepRaw bool   // witness pass: retain the pre-canonical block in raw
 	raw     []uint64
 	lossy   bool     // bitstate mode: no edge log, on-the-fly self-loop check
 	src     []uint64 // lossy mode: the expanded source state (for Absorb)
@@ -468,36 +471,90 @@ type expander struct {
 	clkCanon  *obs.Clock
 	edgeCount *obs.Counter
 
-	// Single-word patch path (expandFast): a node's activation rewrites a
-	// fixed, per-node set of bits of the packed word — its out-edge label
-	// fields, its countdown field, and its output bit — and those bit sets
-	// are disjoint across nodes (every edge has one source). So once each
-	// node's reaction is known, a successor is two ALU ops away from any
-	// successor whose activation set differs by one node, and the whole
-	// batch falls out of a subset DP over the packed words.
-	fast       bool
-	clearMask  []uint64 // per node: the bits its activation rewrites
-	patchFixed []uint64 // per node: countdown reset to r, the state-free part
-	patch      []uint64 // per node, per state: patchFixed | reacted labels | output
-	labelShift []uint   // per edge: bit offset of its label field
-	outShift   []uint   // per node: bit offset of its output bit (if tracked)
-	cdOne      uint64   // 1 in every countdown field (cd−1 base = word − cdOne)
-	secMask    uint64   // packed mask of the compared section
+	clearMask  []uint64 // per word, per node: the bits its activation rewrites
+	patchFixed []uint64 // per word, per node: countdown reset to r, the state-free part
+	patch      []uint64 // per word, per node, per state: patchFixed | reacted labels | output
+	cdOne      []uint64 // per word: 1 in every countdown field (cd−1 base = words − cdOne)
+	secMask    []uint64 // per word: mask of the compared section
+	labelOff   []int    // per edge: bit offset of its label field
+	labelSrc   []int    // per edge: its source node, whose patch row holds it
+	outOff     []int    // per node: bit offset of its output bit (nil if untracked)
 	reactL     []core.Label
 	reactO     []core.Bit
+}
+
+// orField ORs v into the width-bit field at bit offset off of a row whose
+// word j lives at row[j*stride], splitting the field across two words when
+// it straddles a word boundary. v must fit in width bits.
+func orField(row []uint64, stride, off int, width uint, v uint64) {
+	wi, sh := off>>6, uint(off&63)
+	row[wi*stride] |= v << sh
+	if sh+width > 64 {
+		row[(wi+1)*stride] |= v >> (64 - sh)
+	}
+}
+
+// subsetDP fills word j of every successor in block (w words per key).
+// The successor of free-node subset sub is base patched with the nodes in
+// sub, derived in two ALU ops from the successor of sub without its lowest
+// node. With forced nodes every subset is admissible and sub sits at slot
+// sub; without, the empty subset is not, and sub sits at slot sub−1. (A
+// function of its own keeps the loop's operands in registers.)
+func subsetDP(block []uint64, w, j int, base uint64, clr, pat []uint64, free []int, forced bool) {
+	pat = pat[:len(clr)]
+	end := 1 << len(free)
+	if forced {
+		block[j] = base
+		for sub := 1; sub < end; sub++ {
+			v := free[bits.TrailingZeros(uint(sub))]
+			block[sub*w+j] = block[(sub&(sub-1))*w+j]&^clr[v] | pat[v]
+		}
+		return
+	}
+	for sub := 1; sub < end; sub++ {
+		prev := base
+		if rest := sub & (sub - 1); rest != 0 {
+			prev = block[(rest-1)*w+j]
+		}
+		v := free[bits.TrailingZeros(uint(sub))]
+		block[(sub-1)*w+j] = prev&^clr[v] | pat[v]
+	}
+}
+
+// markChanged folds word j of every key in block (w words per key) into
+// the per-key section-change flags: key i changed iff it differs from the
+// source word src under the section mask sec in some word. Word 0
+// overwrites the flags, later words OR into them.
+func markChanged(changed []bool, block []uint64, w, j int, src, sec uint64) {
+	for i := range changed {
+		c := (block[i*w+j]^src)&sec != 0
+		if j > 0 {
+			c = c || changed[i]
+		}
+		changed[i] = c
+	}
 }
 
 func (e *explorer) newExpander() *expander {
 	g := e.p.Graph()
 	n, m := g.N(), g.M()
+	c := e.codec
+	w := c.Words()
 	ex := &expander{
-		e:       e,
-		stepper: core.NewStepper(e.p),
-		cd:      make([]uint8, n),
-		cdDec:   make([]uint8, n),
-		cur:     core.Config{Labels: make(core.Labeling, m), Outputs: make([]core.Bit, n)},
-		free:    make([]int, 0, n),
-		batch:   core.NewConfigBatch(g),
+		e:          e,
+		stepper:    core.NewStepper(e.p),
+		cd:         make([]uint8, n),
+		cur:        core.Config{Labels: make(core.Labeling, m)},
+		free:       make([]int, 0, n),
+		clearMask:  make([]uint64, w*n),
+		patchFixed: make([]uint64, w*n),
+		patch:      make([]uint64, w*n),
+		cdOne:      make([]uint64, w),
+		secMask:    make([]uint64, w),
+		labelOff:   make([]int, m),
+		labelSrc:   make([]int, m),
+		reactL:     make([]core.Label, m),
+		reactO:     make([]core.Bit, n),
 	}
 	if e.sym != nil {
 		ex.canon = e.sym.NewCanon()
@@ -515,236 +572,105 @@ func (e *explorer) newExpander() *expander {
 		ex.clkCanon = obs.NewClock(m.Timer(MetricCanonNs), stageSampleEvery)
 		ex.edgeCount = m.Counter(MetricEdges)
 	}
-	if c := e.codec; c.Words() == 1 {
-		ex.fast = true
-		ex.clearMask = make([]uint64, n)
-		ex.patchFixed = make([]uint64, n)
-		ex.patch = make([]uint64, n)
-		ex.labelShift = make([]uint, m)
-		ex.reactL = make([]core.Label, m)
-		ex.reactO = make([]core.Bit, n)
-		lMask := uint64(1)<<uint(c.LabelFieldBits()) - 1
-		cdMask := uint64(1)<<uint(c.CountdownFieldBits()) - 1
-		for eid := 0; eid < m; eid++ {
-			ex.labelShift[eid] = uint(c.LabelOffset(eid))
+	lBits, cdBits := uint(c.LabelFieldBits()), uint(c.CountdownFieldBits())
+	lMask, cdMask := uint64(1)<<lBits-1, uint64(1)<<cdBits-1
+	for eid := range ex.labelOff {
+		off, v := c.LabelOffset(eid), int(g.Edge(graph.EdgeID(eid)).From)
+		ex.labelOff[eid], ex.labelSrc[eid] = off, v
+		orField(ex.clearMask[v:], n, off, lBits, lMask)
+	}
+	if c.HasOutputs() {
+		ex.outOff = make([]int, n)
+		for v := range ex.outOff {
+			ex.outOff[v] = c.OutputOffset(v)
+			orField(ex.clearMask[v:], n, ex.outOff[v], 1, 1)
 		}
-		if c.HasOutputs() {
-			ex.outShift = make([]uint, n)
-			for v := 0; v < n; v++ {
-				ex.outShift[v] = uint(c.OutputOffset(v))
-			}
+	}
+	for v := 0; v < n; v++ {
+		cdOff := c.CountdownOffset(v)
+		orField(ex.clearMask[v:], n, cdOff, cdBits, cdMask)
+		orField(ex.patchFixed[v:], n, cdOff, cdBits, uint64(e.r))
+		orField(ex.cdOne, 1, cdOff, cdBits, 1)
+	}
+	if e.trackOutputs {
+		for _, off := range ex.outOff {
+			orField(ex.secMask, 1, off, 1, 1)
 		}
-		for v := 0; v < n; v++ {
-			mask := cdMask << uint(c.CountdownOffset(v))
-			for _, eid := range g.Out(graph.NodeID(v)) {
-				mask |= lMask << ex.labelShift[eid]
-			}
-			if c.HasOutputs() {
-				mask |= 1 << ex.outShift[v]
-			}
-			ex.clearMask[v] = mask
-			ex.patchFixed[v] = uint64(e.r) << uint(c.CountdownOffset(v))
-			ex.cdOne |= 1 << uint(c.CountdownOffset(v))
-		}
-		if e.trackOutputs {
-			for v := 0; v < n; v++ {
-				ex.secMask |= 1 << ex.outShift[v]
-			}
-		} else {
-			for eid := 0; eid < m; eid++ {
-				ex.secMask |= lMask << ex.labelShift[eid]
-			}
+	} else {
+		for _, off := range ex.labelOff {
+			orField(ex.secMask, 1, off, lBits, lMask)
 		}
 	}
 	return ex
-}
-
-// sectionChanged reports whether the compared section differs between a
-// state and its raw successor.
-func (e *explorer) sectionChanged(state, raw []uint64) bool {
-	if e.trackOutputs {
-		return !e.codec.OutputsEqual(state, raw)
-	}
-	return !e.codec.LabelsEqual(state, raw)
 }
 
 // Expand implements explore.Expander: fill the batch with the packed
 // (canonicalized) successors of the state in words — one per admissible
 // activation set T ⊇ {i : x_i = 1} — and record each successor's
 // section-change flag against the raw (pre-canonicalization) block.
-// Single-word states take the patch-DP path; both paths produce the same
-// successors in the same order (index i ↔ the i-th admissible free-node
-// subset in ascending bitmask order).
+// Successor i is the i-th admissible free-node subset in ascending bitmask
+// order.
+//
+// Every node's reaction is computed once and turned into a per-node
+// (clearMask, patch) rewrite of the packed words; the block then falls out
+// of a subset DP in which each successor is derived from the successor one
+// activation short of it, with no configuration materialization, no
+// field-by-field packing, and no per-successor copying.
 func (ex *expander) Expand(id int32, words []uint64, b *explore.Batch) error {
-	if ex.fast {
-		ex.expandFast(words, b)
-	} else {
-		ex.expandGeneric(words, b)
-	}
-	return nil
-}
-
-// expandFast is the single-word expansion: compute every node's reaction
-// once, turn it into a per-node (clearMask, patch) bit rewrite of the
-// packed word, and build the whole successor block by a subset DP — each
-// successor is derived from the successor one activation short of it in
-// two ALU ops, with no configuration materialization, no field-by-field
-// packing, and no per-successor copying.
-func (ex *expander) expandFast(words []uint64, b *explore.Batch) {
 	e := ex.e
-	g := e.p.Graph()
-	n := g.N()
+	n, w := e.p.Graph().N(), len(words)
 	ex.cur.Labels = e.codec.UnpackLabels(words, ex.cur.Labels)
 	ex.cd = e.codec.UnpackCountdown(words, ex.cd)
 	ex.clkStep.Start()
 	ex.stepper.Reactions(e.x, ex.cur, ex.reactL, ex.reactO)
 	ex.clkStep.Stop()
 	ex.clkPack.Start()
-	hasOut := e.codec.HasOutputs()
-	for v := 0; v < n; v++ {
-		pv := ex.patchFixed[v]
-		for _, eid := range g.Out(graph.NodeID(v)) {
-			pv |= uint64(ex.reactL[eid]) << ex.labelShift[eid]
-		}
-		if hasOut {
-			pv |= uint64(ex.reactO[v]) << ex.outShift[v]
-		}
-		ex.patch[v] = pv
+	lBits := uint(e.codec.LabelFieldBits())
+	copy(ex.patch, ex.patchFixed)
+	for eid, l := range ex.reactL {
+		orField(ex.patch[ex.labelSrc[eid]:], n, ex.labelOff[eid], lBits, uint64(l))
 	}
-	// Countdowns are stored raw in [1, r], so subtracting 1 from every
-	// countdown field at once never borrows across fields; forced fields
-	// (cd = 1) briefly hold 0 and are immediately patched to r below.
-	base := words[0] - ex.cdOne
-	forced := 0
+	for v, off := range ex.outOff {
+		orField(ex.patch[v:], n, off, 1, uint64(ex.reactO[v]))
+	}
 	ex.free = ex.free[:0]
 	for v, c := range ex.cd {
-		if c == 1 {
-			base = base&^ex.clearMask[v] | ex.patch[v]
-			forced++
-		} else {
+		if c != 1 {
 			ex.free = append(ex.free, v)
 		}
 	}
 	f := len(ex.free)
+	forced := f < n
 	count := 1 << f
-	if forced == 0 {
+	if !forced {
 		count-- // the empty activation set is inadmissible
 	}
 	block := b.Alloc(count)
-	if forced > 0 {
-		// block[sub] = base patched with the nodes in subset sub.
-		block[0] = base
-		for sub := 1; sub < 1<<f; sub++ {
-			lsb := sub & -sub
-			v := ex.free[bits.TrailingZeros64(uint64(sub))]
-			block[sub] = block[sub^lsb]&^ex.clearMask[v] | ex.patch[v]
-		}
-	} else {
-		// Same DP shifted down one slot: subset sub lands at block[sub−1].
-		for sub := 1; sub < 1<<f; sub++ {
-			lsb := sub & -sub
-			prev := base
-			if rest := sub ^ lsb; rest != 0 {
-				prev = block[rest-1]
+	var borrow uint64
+	for j := 0; j < w; j++ {
+		clr, pat := ex.clearMask[j*n:(j+1)*n], ex.patch[j*n:(j+1)*n]
+		// Word j of the base: words − cdOne with the forced nodes patched
+		// in. Countdowns are stored raw in [1, r], so the subtraction never
+		// borrows out of a countdown field; only a field straddling words
+		// j and j+1 passes a borrow between them. Forced fields (cd = 1)
+		// briefly hold 0 and are patched to r.
+		var base uint64
+		base, borrow = bits.Sub64(words[j], ex.cdOne[j], borrow)
+		for v, c := range ex.cd {
+			if c == 1 {
+				base = base&^clr[v] | pat[v]
 			}
-			v := ex.free[bits.TrailingZeros64(uint64(sub))]
-			block[sub-1] = prev&^ex.clearMask[v] | ex.patch[v]
 		}
+		subsetDP(block, w, j, base, clr, pat, ex.free, forced)
 	}
 	ex.clkPack.Stop()
-	ex.finish(words, b, block, count)
-}
 
-// expandGeneric is the multi-word expansion: enumerate the activation sets
-// into the arena, step them in one StepBatch call, and pack the successor
-// block in one PackBatch call.
-func (ex *expander) expandGeneric(words []uint64, b *explore.Batch) {
-	e := ex.e
-	n := e.p.Graph().N()
-	ex.cur.Labels = e.codec.UnpackLabels(words, ex.cur.Labels)
-	ex.cd = e.codec.UnpackCountdown(words, ex.cd)
-	if e.trackOutputs {
-		ex.cur.Outputs = e.codec.UnpackOutputs(words, ex.cur.Outputs)
-	}
-	forced := 0
-	forcedMask := 0
-	for i, c := range ex.cd {
-		if c == 1 {
-			forced++
-			forcedMask |= 1 << i
-		}
-	}
-	ex.free = ex.free[:0]
-	for i := 0; i < n; i++ {
-		if forcedMask&(1<<i) == 0 {
-			ex.free = append(ex.free, i)
-		}
-	}
-	// Enumerate subsets of the free nodes; the activation set is
-	// forced ∪ subset, and must be nonempty.
-	ex.sets.Reset()
-	for sub := 0; sub < 1<<len(ex.free); sub++ {
-		if forced == 0 && sub == 0 {
-			continue
-		}
-		ex.sets.Begin()
-		for i := 0; i < n; i++ {
-			if forcedMask&(1<<i) != 0 {
-				ex.sets.Push(graph.NodeID(i))
-			}
-		}
-		for bi, i := range ex.free {
-			if sub&(1<<bi) != 0 {
-				ex.sets.Push(graph.NodeID(i))
-			}
-		}
-	}
-	count := ex.sets.Len()
-	ex.clkStep.Start()
-	ex.stepper.StepBatch(e.x, ex.cur, &ex.sets, ex.batch)
-	ex.clkStep.Stop()
-	ex.clkPack.Start()
-	// Successor countdowns: inactive nodes decrement, active nodes reset to
-	// r. The decremented base is computed once; cd − 1 < r always (cd ≤ r),
-	// so overwriting the active entries afterwards never misfires.
-	for i, c := range ex.cd {
-		ex.cdDec[i] = c - 1
-	}
-	if cap(ex.cds) < count*n {
-		ex.cds = make([]uint8, count*n)
-	}
-	ex.cds = ex.cds[:count*n]
-	for si := 0; si < count; si++ {
-		row := ex.cds[si*n : (si+1)*n]
-		copy(row, ex.cdDec)
-		for _, v := range ex.sets.Set(si) {
-			row[v] = uint8(e.r)
-		}
-	}
-	block := b.Alloc(count)
-	e.codec.PackBatch(count, ex.batch.LabelsFlat(), ex.cds, ex.batch.OutputsFlat(), block)
-	ex.clkPack.Stop()
-	ex.finish(words, b, block, count)
-}
-
-// finish is the shared expansion tail: section-change flags against the raw
-// block, the witness pass's raw copy, and block canonicalization.
-func (ex *expander) finish(words []uint64, b *explore.Batch, block []uint64, count int) {
-	e := ex.e
 	if cap(ex.changed) < count {
 		ex.changed = make([]bool, count)
 	}
 	ex.changed = ex.changed[:count]
-	if ex.fast {
-		w0, secm := words[0], ex.secMask
-		for i, k := range block {
-			ex.changed[i] = (k^w0)&secm != 0
-		}
-	} else {
-		wpk := b.WordsPerKey()
-		for i := 0; i < count; i++ {
-			ex.changed[i] = e.sectionChanged(words, block[i*wpk:(i+1)*wpk])
-		}
+	for j := range words {
+		markChanged(ex.changed, block, w, j, words[j], ex.secMask[j])
 	}
 	if ex.keepRaw {
 		ex.raw = append(ex.raw[:0], block...)
@@ -757,6 +683,7 @@ func (ex *expander) finish(words []uint64, b *explore.Batch, block []uint64, cou
 		ex.canon.CanonicalizeBatch(block, count)
 		ex.clkCanon.Stop()
 	}
+	return nil
 }
 
 // Absorb appends the expanded state's out-edge run to the worker's edge

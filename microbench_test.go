@@ -11,12 +11,14 @@ import (
 )
 
 // Per-stage micro-benchmarks of the exploration hot path — step → pack →
-// canonicalize → intern — each with a single-call and a batched variant, so
-// the per-stage win of the batch pipeline is visible in isolation (the
-// end-to-end effect is BenchmarkVerifyStatesGraph). All stages run the E1
-// ring workload (n = 6, r = 3, |Σ| = 3, single-word 24-bit states): one
-// state's successor batch is its 2^n − 1 = 63 admissible activation sets.
-// scripts/bench.sh records these under "micro" in BENCH_verify.json.
+// canonicalize → intern — so each stage's cost is visible in isolation (the
+// end-to-end effect is BenchmarkVerifyStatesGraph). Step and Pack time the
+// per-successor reference calls (Stepper.Step, Codec.Pack) that the
+// verifier's subset DP replaces; Canonicalize and Intern compare a
+// single-call with a batched variant. All stages run the E1 ring workload
+// (n = 6, r = 3, |Σ| = 3, single-word 24-bit states): one state's successor
+// batch is its 2^n − 1 = 63 admissible activation sets. scripts/bench.sh
+// records these under "micro" in BENCH_verify.json.
 
 const microRingN = 6
 
@@ -37,9 +39,7 @@ func microSubsets(n int) [][]graph.NodeID {
 }
 
 // BenchmarkStep measures successor computation: Stepper.Step once per
-// activation set versus one Stepper.StepBatch over the whole set arena
-// (which evaluates each node's reaction once per state instead of once per
-// subset containing it).
+// activation set.
 func BenchmarkStep(b *testing.B) {
 	p := benchRingProtocol(b, microRingN)
 	g := p.Graph()
@@ -56,19 +56,6 @@ func BenchmarkStep(b *testing.B) {
 			for _, set := range subsets {
 				st.Step(x, cur, &next, set)
 			}
-		}
-		b.ReportMetric(perOp*float64(b.N)/b.Elapsed().Seconds(), "succ/s")
-	})
-	b.Run("batch", func(b *testing.B) {
-		st := core.NewStepper(p)
-		var sets core.ActivationSets
-		for _, set := range subsets {
-			sets.Append(set)
-		}
-		batch := core.NewConfigBatch(g)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			st.StepBatch(x, cur, &sets, batch)
 		}
 		b.ReportMetric(perOp*float64(b.N)/b.Elapsed().Seconds(), "succ/s")
 	})
@@ -93,8 +80,19 @@ func microRows(count, m, n, r int, sigma uint64) (core.Labeling, []uint8, []core
 	return labels, cds, outs
 }
 
-// BenchmarkPack measures state packing: Codec.Pack once per successor
-// versus one Codec.PackBatch over the flat row slabs.
+// microBlock packs count flat rows (labels count×m, countdowns count×n)
+// into one block of count keys back to back — the shape the verifier's
+// expander hands to canonicalization and interning.
+func microBlock(codec *enc.Codec, count int, labels core.Labeling, cds []uint8) []uint64 {
+	m, n, w := codec.M(), codec.N(), codec.Words()
+	block := make([]uint64, count*w)
+	for s := 0; s < count; s++ {
+		codec.Pack(labels[s*m:(s+1)*m], cds[s*n:(s+1)*n], nil, block[s*w:(s+1)*w])
+	}
+	return block
+}
+
+// BenchmarkPack measures state packing: Codec.Pack once per successor.
 func BenchmarkPack(b *testing.B) {
 	p := benchRingProtocol(b, microRingN)
 	g := p.Graph()
@@ -110,14 +108,6 @@ func BenchmarkPack(b *testing.B) {
 			for s := 0; s < count; s++ {
 				key = codec.Pack(labels[s*m:(s+1)*m], cds[s*n:(s+1)*n], nil, key)
 			}
-		}
-		b.ReportMetric(float64(count)*float64(b.N)/b.Elapsed().Seconds(), "succ/s")
-	})
-	b.Run("batch", func(b *testing.B) {
-		dst := make([]uint64, count*codec.Words())
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst = codec.PackBatch(count, labels, cds, nil, dst)
 		}
 		b.ReportMetric(float64(count)*float64(b.N)/b.Elapsed().Seconds(), "succ/s")
 	})
@@ -144,7 +134,7 @@ func BenchmarkCanonicalize(b *testing.B) {
 	}
 	const count = 63
 	labels, cds, _ := microRows(count, m, n, r, p.Space().Size())
-	block := codec.PackBatch(count, labels, cds, nil, nil)
+	block := microBlock(codec, count, labels, cds)
 
 	b.Run("single", func(b *testing.B) {
 		canon := sym.NewCanon()
@@ -191,7 +181,7 @@ func BenchmarkCanonicalize(b *testing.B) {
 		// smaller block than the ring's 63 successors.
 		const zcount = 16
 		zlabels, zcds, _ := microRows(zcount, zm, zn, r, tc.sigma)
-		zblock := zcodec.PackBatch(zcount, zlabels, zcds, nil, nil)
+		zblock := microBlock(zcodec, zcount, zlabels, zcds)
 		b.Run(tc.name, func(b *testing.B) {
 			canon := zsym.NewCanon()
 			b.ReportAllocs()
@@ -215,7 +205,7 @@ func BenchmarkIntern(b *testing.B) {
 	codec := enc.NewStateCodec(p.Space(), m, n, r, false)
 	const count = 63
 	labels, cds, _ := microRows(count, m, n, r, p.Space().Size())
-	block := codec.PackBatch(count, labels, cds, nil, nil)
+	block := microBlock(codec, count, labels, cds)
 
 	for _, be := range []struct {
 		name  string

@@ -16,9 +16,10 @@
 #                  pre-run (internal/obs). Guarded in BOTH directions —
 #                  drift means the exploration changed, not the machine;
 #   micro          succ/s for the per-stage hot-path micro-benchmarks
-#                  (BenchmarkStep/Pack/Canonicalize/Intern, single vs
-#                  batched variants, plus one Canonicalize row per
-#                  minimizer × width — see microbench_test.go).
+#                  (BenchmarkStep/Pack: the per-successor reference
+#                  calls; BenchmarkCanonicalize/Intern: single vs batched
+#                  variants, plus one Canonicalize row per minimizer ×
+#                  width — see microbench_test.go).
 #
 # Alongside the JSON it writes ${OUT%.json}.report.jsonl: one obs.Report
 # line from a small instrumented cmd/verify run, so the full stage-timer /
