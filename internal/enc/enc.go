@@ -269,7 +269,7 @@ func compareBits(a, b []uint64, from, to int) int {
 }
 
 // Hash mixes the packed words into a 64-bit hash (splitmix64-style mixing
-// per word). Used both for shard ownership and for Table probing.
+// per word). Used both for shard ownership and for table probing.
 func Hash(words []uint64) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, w := range words {
@@ -284,15 +284,14 @@ func Hash(words []uint64) uint64 {
 
 // Table interns fixed-width packed states. Keys are stored back to back in
 // one arena slice; the open-addressing index maps hash slots to 1-based
-// state IDs. The zero Table is not usable; call NewTable.
+// state IDs. The zero Table is not usable; call NewTable. A Table is not
+// safe for concurrent use.
 type Table struct {
-	w        int
-	arena    []uint64
-	slots    []int32 // 1-based state IDs; 0 = empty
-	mask     uint64
-	count    int
-	probes   int64 // occupied-slot inspections beyond the home slot
-	maxProbe int64 // longest single-operation probe chain observed
+	w     int
+	arena []uint64
+	slots []int32 // 1-based state IDs; 0 = empty
+	mask  uint64
+	count int
 }
 
 // probeLimit is the displacement bound that triggers an early rehash: an
@@ -301,39 +300,6 @@ type Table struct {
 // when the hash clusters (the load-factor trigger alone lets a hot cluster
 // degrade every Intern that hashes into it).
 const probeLimit = 64
-
-// TableStats describes a table's occupancy and probe behaviour (see
-// Table.Stats).
-type TableStats struct {
-	// States is the number of interned states.
-	States int
-	// Slots is the open-addressing slot count (capacity).
-	Slots int
-	// Bytes is the resident size of arena plus slot index.
-	Bytes int64
-	// Probes counts slot inspections beyond the home slot across all
-	// Intern/Lookup calls — the linear-probing displacement total, the
-	// load-factor health signal the observability layer reports as
-	// store/probes.
-	Probes int64
-	// MaxProbe is the longest probe chain any single Intern/Lookup walked.
-	// Growth keeps it at or below probeLimit plus the chain the triggering
-	// insertion itself walked.
-	MaxProbe int64
-}
-
-// Stats reports the table's occupancy and probe counters. The table is not
-// safe for concurrent use, so callers synchronize exactly as they do for
-// Intern (the sharded store reads Stats under its shard locks).
-func (t *Table) Stats() TableStats {
-	return TableStats{
-		States:   t.count,
-		Slots:    len(t.slots),
-		Bytes:    int64(len(t.arena))*8 + int64(len(t.slots))*4,
-		Probes:   t.probes,
-		MaxProbe: t.maxProbe,
-	}
-}
 
 // NewTable returns a table for keys of wordsPerKey words, pre-sized for
 // about hint states.
@@ -349,14 +315,13 @@ func NewTable(wordsPerKey, hint int) *Table {
 	}
 }
 
-// Reset empties the table: IDs restart at 0 and the probe counters at
-// zero, while the slot array and arena keep their capacity, so a table
-// reset per use allocates only while it grows.
+// Reset empties the table: IDs restart at 0, while the slot array and
+// arena keep their capacity, so a table reset per use allocates only while
+// it grows.
 func (t *Table) Reset() {
 	clear(t.slots)
 	t.arena = t.arena[:0]
 	t.count = 0
-	t.probes, t.maxProbe = 0, 0
 }
 
 // Len returns the number of interned states.
@@ -379,21 +344,14 @@ func keysEqual(a, b []uint64) bool {
 
 // Lookup returns the ID of key if it is already interned, without inserting.
 func (t *Table) Lookup(key []uint64) (int, bool) {
-	h := Hash(key)
-	chain := int64(0)
-	for i := h & t.mask; ; i = (i + 1) & t.mask {
+	for i := Hash(key) & t.mask; ; i = (i + 1) & t.mask {
 		s := t.slots[i]
 		if s == 0 {
 			return 0, false
 		}
 		if keysEqual(t.At(int(s-1)), key) {
-			if chain > t.maxProbe {
-				t.maxProbe = chain
-			}
 			return int(s - 1), true
 		}
-		t.probes++
-		chain++
 	}
 }
 
@@ -401,37 +359,22 @@ func (t *Table) Lookup(key []uint64) (int, bool) {
 // return true). key must have exactly wordsPerKey words; the table copies
 // it into the arena, so callers can reuse the buffer.
 func (t *Table) Intern(key []uint64) (int, bool) {
-	return t.InternHashed(key, Hash(key))
-}
-
-// InternHashed is Intern with the key's Hash precomputed by the caller.
-// Batch interners that already hashed every key for shard bucketing use it
-// to avoid hashing twice (the double hash was what made batched hash-store
-// interning slower than the single-key path).
-func (t *Table) InternHashed(key []uint64, h uint64) (int, bool) {
-	chain := int64(0)
-	for i := h & t.mask; ; i = (i + 1) & t.mask {
+	chain := 0
+	for i := Hash(key) & t.mask; ; i = (i + 1) & t.mask {
 		s := t.slots[i]
 		if s == 0 {
 			id := t.count
 			t.arena = append(t.arena, key...)
 			t.slots[i] = int32(id + 1)
 			t.count++
-			if chain > t.maxProbe {
-				t.maxProbe = chain
-			}
 			if uint64(t.count)*4 > 3*(t.mask+1) || chain > probeLimit {
 				t.rehash()
 			}
 			return id, true
 		}
 		if keysEqual(t.At(int(s-1)), key) {
-			if chain > t.maxProbe {
-				t.maxProbe = chain
-			}
 			return int(s - 1), false
 		}
-		t.probes++
 		chain++
 	}
 }

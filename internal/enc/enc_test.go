@@ -169,13 +169,9 @@ func TestTableReset(t *testing.T) {
 	}
 	const total = 1000
 	fill(0, total, 0)
-	slots := tab.Stats().Slots
 	tab.Reset()
 	if tab.Len() != 0 {
 		t.Fatalf("Len after Reset = %d, want 0", tab.Len())
-	}
-	if st := tab.Stats(); st.Slots != slots || st.Probes != 0 || st.MaxProbe != 0 {
-		t.Fatalf("Stats after Reset = %+v, want %d slots and zero probe counters", st, slots)
 	}
 	key[0], key[1] = 0, 0
 	if _, ok := tab.Lookup(key); ok {
@@ -189,8 +185,5 @@ func TestTableReset(t *testing.T) {
 		fill(0, total, 0)
 	}); allocs != 0 {
 		t.Fatalf("refilling a reset table allocated %.0f times per run, want 0", allocs)
-	}
-	if got := tab.Stats().Slots; got != slots {
-		t.Fatalf("slot count %d after refill, want %d", got, slots)
 	}
 }

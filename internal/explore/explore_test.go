@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand/v2"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -118,6 +119,127 @@ func TestDenseStoreConcurrent(t *testing.T) {
 	}
 	if totalFresh != d.Len() {
 		t.Fatalf("fresh interns %d != Len %d — a state was double-counted", totalFresh, d.Len())
+	}
+}
+
+// TestHashStoreConcurrent interns overlapping key streams from 8
+// goroutines, half through Intern and half through InternBatch, into a
+// store that starts at 128 slots per shard: while some goroutines take the
+// lock-free hit path, others insert, add arena pages and rehash. Every key
+// must get one ID, exactly one intern must report it fresh, and after
+// Compact every ID must rank to a distinct state whose words are the key.
+func TestHashStoreConcurrent(t *testing.T) {
+	for _, w := range []int{1, 3} {
+		const (
+			workers = 8
+			keys    = 3 << 15 // ~1,536 per shard: 2 arena pages, 4 rehashes
+			stream  = keys / 2
+		)
+		key := func(i int, dst []uint64) {
+			dst[0] = uint64(i) * 0x9e3779b97f4a7c15
+			for j := 1; j < w; j++ {
+				dst[j] = uint64(i)<<j ^ uint64(j)
+			}
+		}
+		h := NewHash(w)
+		initialCap := h.Stats().Capacity
+		got := make([][]int32, workers) // got[g][i]: the ID goroutine g saw for key i, -1 if none
+		freshCount := make([]int, workers)
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for g := 0; g < workers; g++ {
+			go func(g int) {
+				defer wg.Done()
+				ids := make([]int32, keys)
+				for i := range ids {
+					ids[i] = -1
+				}
+				got[g] = ids
+				// Goroutine g walks a shuffled window of half the key space
+				// starting at g·keys/workers, so each key is interned by
+				// about four goroutines at different times.
+				rng := rand.New(rand.NewPCG(uint64(g), uint64(w)))
+				order := make([]int, stream)
+				for j := range order {
+					order[j] = (g*keys/workers + j) % keys
+				}
+				rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+				block := make([]uint64, 64*w)
+				bids := make([]int32, 64)
+				bfresh := make([]bool, 64)
+				for j := 0; j < len(order); {
+					n := min(1+rng.IntN(64), len(order)-j)
+					for k := 0; k < n; k++ {
+						key(order[j+k], block[k*w:(k+1)*w])
+					}
+					if g%2 == 0 {
+						if err := h.InternBatch(block[:n*w], bids[:n], bfresh[:n]); err != nil {
+							t.Error(err)
+							return
+						}
+					} else {
+						for k := 0; k < n; k++ {
+							id, fresh, err := h.Intern(block[k*w : (k+1)*w])
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							bids[k], bfresh[k] = id, fresh
+						}
+					}
+					for k := 0; k < n; k++ {
+						ids[order[j+k]] = bids[k]
+						if bfresh[k] {
+							freshCount[g]++
+						}
+					}
+					j += n
+				}
+			}(g)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		totalFresh := 0
+		for _, c := range freshCount {
+			totalFresh += c
+		}
+		if totalFresh != h.Len() || h.Len() != keys {
+			t.Fatalf("w=%d: %d fresh interns, Len %d, want %d each", w, totalFresh, h.Len(), keys)
+		}
+		if st := h.Stats(); st.Capacity < 8*initialCap || st.States <= int64(len(h.shards))<<pageShift {
+			t.Fatalf("w=%d: %+v did not grow past several rehashes and one page per shard", w, st)
+		}
+		idOf := make([]int32, keys)
+		for i := range idOf {
+			idOf[i] = -1
+			for g := range got {
+				switch id := got[g][i]; {
+				case id < 0:
+				case idOf[i] < 0:
+					idOf[i] = id
+				case id != idOf[i]:
+					t.Fatalf("w=%d: key %d has IDs %d and %d", w, i, idOf[i], id)
+				}
+			}
+		}
+		if total := h.Compact(); total != keys {
+			t.Fatalf("w=%d: Compact = %d, want %d", w, total, keys)
+		}
+		ranked := make([]bool, keys)
+		want := make([]uint64, w)
+		for i, id := range idOf {
+			r := h.Rank(id)
+			if r < 0 || int(r) >= keys || ranked[r] {
+				t.Fatalf("w=%d: key %d (ID %d) has rank %d, out of range or taken", w, i, id, r)
+			}
+			ranked[r] = true
+			key(i, want)
+			if words := h.WordsAt(r, nil); !slices.Equal(words, want) {
+				t.Fatalf("w=%d: WordsAt(Rank(%d)) = %x, want %x", w, id, words, want)
+			}
+		}
 	}
 }
 
@@ -444,8 +566,8 @@ func FuzzCanonicalizeRotation(f *testing.F) {
 
 // TestInternBatchMatchesIntern feeds the same key stream — duplicates
 // inside batches included — through per-key Intern on one store and
-// InternBatch on another, for both backends: IDs, freshness, and the final
-// visited set must agree.
+// InternBatch on another, for both backends: IDs, freshness, the final
+// visited set and the probe telemetry must agree.
 func TestInternBatchMatchesIntern(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 4))
 	for name, mk := range map[string]func() Store{
@@ -481,6 +603,44 @@ func TestInternBatchMatchesIntern(t *testing.T) {
 		if single.Len() != batched.Len() {
 			t.Fatalf("%s: Len %d (single) vs %d (batched)", name, single.Len(), batched.Len())
 		}
+		// Probe telemetry is counted per call, so it must not depend on
+		// how the keys were grouped into calls.
+		if ss, bs := single.Stats(), batched.Stats(); ss != bs {
+			t.Fatalf("%s: Stats %+v (single) vs %+v (batched)", name, ss, bs)
+		} else if name == "hash" && (ss.Probes == 0 || ss.MaxProbe == 0) {
+			t.Fatalf("hash: no probes counted over %d states: %+v", ss.States, ss)
+		}
+	}
+}
+
+// TestHashStoreProbesCountedOnce pins that a miss, which probes once
+// without the lock and again under it, counts its chain once. Below the
+// first rehash, linear probing leaves every key where it was inserted, so
+// re-interning all keys (hits only) passes exactly the occupied slots their
+// insertions passed.
+func TestHashStoreProbesCountedOnce(t *testing.T) {
+	h := NewHash(1)
+	initial := h.Stats()
+	block := make([]uint64, 1500) // ~23 keys per 128-slot shard: no rehash
+	for i := range block {
+		block[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	ids := make([]int32, len(block))
+	fresh := make([]bool, len(block))
+	if err := h.InternBatch(block, ids, fresh); err != nil {
+		t.Fatal(err)
+	}
+	inserted := h.Stats()
+	if err := h.InternBatch(block, ids, fresh); err != nil {
+		t.Fatal(err)
+	}
+	hits := h.Stats().Probes - inserted.Probes
+	if inserted.Capacity != initial.Capacity || inserted.States != int64(len(block)) {
+		t.Fatalf("store grew or lost keys: %+v, initially %+v", inserted, initial)
+	}
+	if inserted.Probes == 0 || inserted.Probes != hits {
+		t.Fatalf("inserts counted %d probes, re-interning them counted %d; want equal and > 0",
+			inserted.Probes, hits)
 	}
 }
 

@@ -7,8 +7,10 @@
 //     bits): the packed value *is* the state ID and the visited set is an
 //     atomic-CAS bitset, so interning a state costs one load and one CAS —
 //     no hashing, no locks, no arena;
-//   - a sharded-hash store for wide states: 2^shardBits mutex-protected
-//     intern tables (the engine PR 1 built into internal/verify).
+//   - a sharded-hash store for wide states: 2^shardBits linear-probing
+//     shards whose slots carry a hash tag beside the ID, over key pages
+//     that never move. Finding an interned key takes no lock and writes no
+//     shared memory; only an insert takes its shard's lock.
 //
 // On top of the stores sit a bounded-worker BFS driver (Run), a symmetry
 // quotient that canonicalizes states modulo the graph's order-preserving
@@ -61,8 +63,9 @@ type StoreStats struct {
 	// arenas plus slot tables).
 	Bytes int64
 	// Probes counts hash-table slot inspections beyond the home slot —
-	// the open-addressing displacement total (always 0 for the dense
-	// store, which does no probing).
+	// the open-addressing displacement total, counted once per key even
+	// when a lock-free miss re-probes under the lock (always 0 for the
+	// dense store, which does no probing).
 	Probes int64
 	// Collisions counts interning retries: CAS retries for the dense
 	// bitset, occupied-slot probe steps for the hash store.
@@ -102,8 +105,8 @@ type Store interface {
 	// (len(ids)·Words() words), writing each key's ID and freshness into
 	// ids[i] / fresh[i]. Equivalent to len(ids) Intern calls — duplicates
 	// within a batch resolve to one ID with exactly one fresh=true — but
-	// lets the store amortize per-key overhead (the hash store takes each
-	// shard lock once per batch instead of once per key). Safe for
+	// lets the store amortize per-key overhead (shared counters are
+	// updated once per batch instead of once per key). Safe for
 	// concurrent use.
 	InternBatch(block []uint64, ids []int32, fresh []bool) error
 	// Len returns the number of interned states.
@@ -307,32 +310,145 @@ func (d *Dense) Stats() StoreStats {
 // ---------------------------------------------------------------------------
 // Sharded-hash store (fallback for wide states).
 
-// shardBits fixes the ownership-hash shard count (2^shardBits dedup tables,
-// each behind its own mutex); more shards than workers keeps lock
+// shardBits fixes the ownership-hash shard count (2^shardBits shards, each
+// with its own insert lock); more shards than workers keeps insert
 // contention negligible.
 const shardBits = 6
 
 const maxLocalID = (1 << (31 - shardBits)) - 1
 
-// hashShard is one dedup table of the sharded-hash store.
-type hashShard struct {
-	mu  sync.Mutex
-	tab *enc.Table
+const (
+	// hashInitialSlots is each shard's starting slot count.
+	hashInitialSlots = 128
+	// hashProbeLimit is the displacement bound that triggers an early
+	// rehash: an insertion that walks more than hashProbeLimit occupied
+	// slots doubles the shard even below the 3/4 load factor, so probe
+	// chains stay bounded when the hash clusters.
+	hashProbeLimit = 64
+	// pageShift sets the keys per arena page (1024). Pages never move, so a
+	// lock-free reader can hold a key view while the shard grows.
+	pageShift = 10
+	pageMask  = 1<<pageShift - 1
+	// slotIDMask selects the local ID + 1 in a slot value; the tag sits
+	// above it.
+	slotIDMask = 1<<32 - 1
+)
+
+// hashSlots is one published open-addressing index. Each slot holds
+// tag<<32 | (local ID + 1), where the tag is the key hash's high 32 bits,
+// so a probe skips the arena read of any key whose tag differs; 0 means
+// empty. Once published, a slot array only gains entries; growth builds
+// and publishes a new one.
+type hashSlots struct {
+	s    []atomic.Uint64
+	mask uint64
 }
 
-// Hash is the sharded-hash store: 2^shardBits mutex-protected enc.Tables.
-// IDs encode (local index << shardBits) | shard.
+// hashShard is one shard of the sharded-hash store: a linear-probing index
+// over keys stored in fixed-size pages. Lookups are lock-free: they load
+// the published slot array and page directory and write no shared memory.
+// Inserts and growth take mu. A key is copied into its page before its slot
+// is published, so a reader that sees the slot sees the key. A reader
+// still holding a slot array that growth has replaced can only miss a key,
+// never mismatch one, and the locked insert path re-probes the current
+// array before adding anything.
+type hashShard struct {
+	slots atomic.Pointer[hashSlots]
+	pages atomic.Pointer[[][]uint64]
+	// The pads keep the read-mostly pointers and the insert-side fields
+	// below on different cache lines, whatever the array's alignment, so
+	// an insert does not evict the pointers from the other cores' caches.
+	_     [64]byte
+	mu    sync.Mutex
+	count int // keys stored; guarded by mu
+	_     [64]byte
+}
+
+// key returns a view of the local-th key's words in its page.
+func (s *hashShard) key(local int32, w int) []uint64 {
+	page := (*s.pages.Load())[local>>pageShift]
+	off := int(local&pageMask) * w
+	return page[off : off+w : off+w]
+}
+
+// probe walks t from the home slot of key (with hash h) to the slot that
+// holds key or to the first empty slot. It returns that slot's index and
+// value (0 when empty) and the number of occupied slots passed on the way.
+func (s *hashShard) probe(t *hashSlots, key []uint64, h uint64, w int) (i, v uint64, chain int64) {
+	for i = h & t.mask; ; i = (i + 1) & t.mask {
+		v = t.s[i].Load()
+		if v == 0 || v&^slotIDMask == h&^slotIDMask && keysEqual(s.key(slotLocal(v), w), key) {
+			return i, v, chain
+		}
+		chain++
+	}
+}
+
+// slotLocal returns the local ID an occupied slot value holds.
+func slotLocal(v uint64) int32 { return int32(v&slotIDMask) - 1 }
+
+// insert interns key (with hash h) under mu: it re-probes the current slot
+// array, and on a miss copies the key into its page and publishes its
+// slot. It returns the local ID, whether it is new, and the probe chain.
+func (s *hashShard) insert(key []uint64, h uint64, w int) (local int32, fresh bool, chain int64, err error) {
+	t := s.slots.Load()
+	i, v, chain := s.probe(t, key, h, w)
+	if v != 0 {
+		return slotLocal(v), false, chain, nil
+	}
+	if s.count > maxLocalID {
+		return 0, false, chain, fmt.Errorf("%w: shard overflow", ErrLimit)
+	}
+	local = int32(s.count)
+	pages := *s.pages.Load()
+	if int(local>>pageShift) == len(pages) {
+		pages = append(pages, make([]uint64, w<<pageShift))
+		s.pages.Store(&pages)
+	}
+	copy(s.key(local, w), key)
+	t.s[i].Store(h&^slotIDMask | uint64(local+1))
+	s.count++
+	if uint64(s.count)*4 > 3*(t.mask+1) || chain > hashProbeLimit {
+		s.rehash(w)
+	}
+	return local, true, chain, nil
+}
+
+// rehash publishes a slot array of twice the size, filled in ID order.
+func (s *hashShard) rehash(w int) {
+	size := (s.slots.Load().mask + 1) * 2
+	t := &hashSlots{s: make([]atomic.Uint64, size), mask: size - 1}
+	for local := int32(0); local < int32(s.count); local++ {
+		h := enc.Hash(s.key(local, w))
+		i := h & t.mask
+		for t.s[i].Load() != 0 {
+			i = (i + 1) & t.mask
+		}
+		t.s[i].Store(h&^slotIDMask | uint64(local+1))
+	}
+	s.slots.Store(t)
+}
+
+// Hash is the sharded-hash store: 2^shardBits hashShards, owned by the
+// high hash bits. A key that is already interned resolves without a lock;
+// only a miss takes its shard's lock. IDs encode
+// (local index << shardBits) | shard.
 type Hash struct {
 	wpk    int
 	shards [1 << shardBits]hashShard
 	base   []int32
+	// Probe telemetry, added once per Intern or InternBatch call.
+	probes   atomic.Int64
+	maxProbe atomic.Int64
 }
 
 // NewHash returns a hash store for keys of wordsPerKey words.
 func NewHash(wordsPerKey int) *Hash {
 	h := &Hash{wpk: wordsPerKey}
 	for i := range h.shards {
-		h.shards[i].tab = enc.NewTable(wordsPerKey, 64)
+		s := &h.shards[i]
+		s.slots.Store(&hashSlots{s: make([]atomic.Uint64, hashInitialSlots), mask: hashInitialSlots - 1})
+		s.pages.Store(new([][]uint64))
 	}
 	return h
 }
@@ -343,63 +459,74 @@ func (h *Hash) Words() int { return h.wpk }
 // Lossy returns false: the hash store is exact.
 func (h *Hash) Lossy() bool { return false }
 
-// Intern adds key to its ownership shard.
-func (h *Hash) Intern(key []uint64) (int32, bool, error) {
-	// Shard by the HIGH hash bits: the shard table probes from the low
+// intern resolves one key: a lock-free find in its ownership shard, and on
+// a miss the locked insert. It adds the occupied slots it inspected to
+// *probes and raises *longest. A miss counts only the locked re-probe's
+// chain, so no chain is counted twice.
+func (h *Hash) intern(key []uint64, probes, longest *int64) (int32, bool, error) {
+	hv := enc.Hash(key)
+	// Shard by the HIGH hash bits: the shard index probes from the low
 	// bits, so taking ownership from them too would leave every key in a
 	// shard sharing its low bits and collapse the home slots to every
 	// 64th position (measured ~3x slower interning).
-	owner := enc.Hash(key) >> (64 - shardBits)
+	owner := int32(hv >> (64 - shardBits))
 	s := &h.shards[owner]
-	s.mu.Lock()
-	local, fresh := s.tab.Intern(key)
-	s.mu.Unlock()
-	if local > maxLocalID {
-		return 0, false, fmt.Errorf("%w: shard overflow", ErrLimit)
+	_, v, chain := s.probe(s.slots.Load(), key, hv, h.wpk)
+	local, fresh := slotLocal(v), false
+	if v == 0 {
+		// The lock-free miss may be false (an insert or a rehash raced
+		// it); insert re-probes the current slot array under the lock.
+		var err error
+		s.mu.Lock()
+		local, fresh, chain, err = s.insert(key, hv, h.wpk)
+		s.mu.Unlock()
+		if err != nil {
+			return 0, false, err
+		}
 	}
-	return int32(local)<<shardBits | int32(owner), fresh, nil
+	*probes += chain
+	*longest = max(*longest, chain)
+	return local<<shardBits | owner, fresh, nil
 }
 
-// InternBatch interns len(ids) keys stored back to back in block, in one
-// fused pass: each key hashes once (the hash is passed through to the
-// shard table — hashing twice was the regression that made batched
-// interning slower than per-key Intern calls), and the shard lock is
-// carried across consecutive keys landing in the same shard. A bucketing
-// pre-pass (group key indices by shard, lock each shard exactly once)
-// measures slower at engine batch sizes: with ≤64 successors scattered
-// over 2^shardBits shards nearly every bucket is a singleton, so
-// pre-bucketing saves almost no lock acquisitions and pays for a second
-// sweep over the keys' cache lines. IDs and freshness match what per-key
-// Intern calls would produce.
+// countProbes adds one call's probe telemetry to the store.
+func (h *Hash) countProbes(probes, longest int64) {
+	if probes > 0 {
+		h.probes.Add(probes)
+	}
+	for {
+		m := h.maxProbe.Load()
+		if longest <= m || h.maxProbe.CompareAndSwap(m, longest) {
+			return
+		}
+	}
+}
+
+// Intern adds key to its ownership shard.
+func (h *Hash) Intern(key []uint64) (int32, bool, error) {
+	var probes, longest int64
+	id, fresh, err := h.intern(key, &probes, &longest)
+	h.countProbes(probes, longest)
+	return id, fresh, err
+}
+
+// InternBatch interns len(ids) keys stored back to back in block. Each key
+// hashes once; a hit takes no lock, and a miss locks only its own shard
+// for its own insert. The probe telemetry reaches the shared counters once
+// per batch. IDs and freshness match what per-key Intern calls would
+// produce.
 func (h *Hash) InternBatch(block []uint64, ids []int32, fresh []bool) error {
 	var (
-		err   error
-		owner int32 = -1
-		s     *hashShard
+		probes, longest int64
+		err             error
 	)
 	for i := range ids {
-		key := block[i*h.wpk : (i+1)*h.wpk]
-		hv := enc.Hash(key)
-		o := int32(hv >> (64 - shardBits))
-		if o != owner {
-			if s != nil {
-				s.mu.Unlock()
-			}
-			s = &h.shards[o]
-			s.mu.Lock()
-			owner = o
-		}
-		local, fr := s.tab.InternHashed(key, hv)
-		if local > maxLocalID {
-			err = fmt.Errorf("%w: shard overflow", ErrLimit)
+		ids[i], fresh[i], err = h.intern(block[i*h.wpk:(i+1)*h.wpk], &probes, &longest)
+		if err != nil {
 			break
 		}
-		ids[i] = int32(local)<<shardBits | o
-		fresh[i] = fr
 	}
-	if s != nil {
-		s.mu.Unlock()
-	}
+	h.countProbes(probes, longest)
 	return err
 }
 
@@ -407,9 +534,10 @@ func (h *Hash) InternBatch(block []uint64, ids []int32, fresh []bool) error {
 func (h *Hash) Len() int {
 	n := 0
 	for i := range h.shards {
-		h.shards[i].mu.Lock()
-		n += h.shards[i].tab.Len()
-		h.shards[i].mu.Unlock()
+		s := &h.shards[i]
+		s.mu.Lock()
+		n += s.count
+		s.mu.Unlock()
 	}
 	return n
 }
@@ -420,7 +548,7 @@ func (h *Hash) Compact() int {
 	total := 0
 	for s := range h.shards {
 		h.base[s] = int32(total)
-		total += h.shards[s].tab.Len()
+		total += h.shards[s].count
 	}
 	h.base[len(h.shards)] = int32(total)
 	return total
@@ -431,28 +559,27 @@ func (h *Hash) Rank(id int32) int32 {
 	return h.base[id&(1<<shardBits-1)] + id>>shardBits
 }
 
-// Stats sums the shard tables' occupancy and probe counters under their
-// locks (snapshot-time only; never on the intern hot path).
+// Stats sums the shards' occupancy under their locks and adds the probe
+// counters (snapshot-time only; never on the intern hot path). Every
+// occupied slot a probe passes is both a probe and a collision.
 func (h *Hash) Stats() StoreStats {
 	st := StoreStats{Kind: "hash"}
 	for i := range h.shards {
 		s := &h.shards[i]
 		s.mu.Lock()
-		ts := s.tab.Stats()
+		st.States += int64(s.count)
+		slots := int64(len(s.slots.Load().s))
+		st.Capacity += slots
+		st.Bytes += slots*8 + int64(len(*s.pages.Load()))*int64(h.wpk)<<pageShift*8
 		s.mu.Unlock()
-		st.States += int64(ts.States)
-		st.Capacity += int64(ts.Slots)
-		st.Bytes += ts.Bytes
-		st.Probes += ts.Probes
-		st.Collisions += ts.Probes // every extra probe step is a collision
-		if ts.MaxProbe > st.MaxProbe {
-			st.MaxProbe = ts.MaxProbe
-		}
 	}
+	st.Probes = h.probes.Load()
+	st.Collisions = st.Probes
+	st.MaxProbe = h.maxProbe.Load()
 	return st
 }
 
-// WordsAt returns an arena view of the rank-th state (safe once Compact has
+// WordsAt returns a page view of the rank-th state (safe once Compact has
 // frozen the store; buf is unused).
 func (h *Hash) WordsAt(rank int32, _ []uint64) []uint64 {
 	lo, hi := 0, len(h.shards)
@@ -464,5 +591,15 @@ func (h *Hash) WordsAt(rank int32, _ []uint64) []uint64 {
 			hi = mid
 		}
 	}
-	return h.shards[lo].tab.At(int(rank - h.base[lo]))
+	return h.shards[lo].key(rank-h.base[lo], h.wpk)
+}
+
+// keysEqual reports whether two keys of the same width are equal.
+func keysEqual(a, b []uint64) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -140,7 +140,12 @@ func TestOracleZooTopologies(t *testing.T) {
 				if err != nil {
 					t.Fatalf("cfg %+v: %v", c, err)
 				}
-				if chunks := reg.Snapshot()[explore.MetricSpillChunks].Value; (chunks > 0) != (c.spill > 0) {
+				// No budget never spills. With a budget, whether the frontier
+				// outgrows it depends on how the workers interleave (they drain
+				// it while it fills), so only the one-worker cells, whose BFS
+				// order is fixed, must write chunks.
+				chunks := reg.Snapshot()[explore.MetricSpillChunks].Value
+				if (c.spill == 0 && chunks != 0) || (c.spill > 0 && c.work == 1 && chunks == 0) {
 					t.Fatalf("cfg %+v: %d spill chunks written", c, chunks)
 				}
 				if dec.Stabilizing != !tc.violating {

@@ -194,7 +194,8 @@ func BenchmarkCanonicalize(b *testing.B) {
 }
 
 // BenchmarkIntern measures visited-set interning on both store backends:
-// Store.Intern per key versus one Store.InternBatch per block. The block
+// Store.Intern per key versus one Store.InternBatch per block, plus the
+// hash store's batch path from parallel goroutines. The block
 // is interned once up front, so the measured path is the steady-state
 // re-intern (hit) path that dominates a BFS, where most successors are
 // already visited.
@@ -240,6 +241,40 @@ func BenchmarkIntern(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(count)*float64(b.N)/b.Elapsed().Seconds(), "succ/s")
+		})
+		if be.name != "hash" {
+			continue
+		}
+		// The batch hit path from GOMAXPROCS goroutines at once: the hash
+		// store's hits take no lock and write no shared memory per key, so
+		// this rate should scale with the cores rather than fall below the
+		// one-goroutine batch rate. An iteration re-interns 64 blocks, so
+		// that even a short run (bench.sh runs 1000 iterations) lasts long
+		// enough to amortize starting the goroutines.
+		const blocks = 64
+		plabels, pcds, _ := microRows(blocks*count, m, n, r, p.Space().Size())
+		pblock := microBlock(codec, blocks*count, plabels, pcds)
+		pids := make([]int32, blocks*count)
+		pfresh := make([]bool, blocks*count)
+		if err := store.InternBatch(pblock, pids, pfresh); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(be.name+"/parallel", func(b *testing.B) {
+			w := codec.Words()
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				ids := make([]int32, count)
+				fresh := make([]bool, count)
+				for pb.Next() {
+					for k := 0; k < blocks; k++ {
+						if err := store.InternBatch(pblock[k*count*w:(k+1)*count*w], ids, fresh); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}
+			})
+			b.ReportMetric(float64(blocks*count)*float64(b.N)/b.Elapsed().Seconds(), "succ/s")
 		})
 	}
 }

@@ -19,7 +19,8 @@
 #                  (BenchmarkStep/Pack: the per-successor reference
 #                  calls; BenchmarkCanonicalize/Intern: single vs batched
 #                  variants, plus one Canonicalize row per minimizer ×
-#                  width — see microbench_test.go).
+#                  width and an Intern/hash/parallel row that guards the
+#                  hash store's lock-free hit path — see microbench_test.go).
 #
 # Alongside the JSON it writes ${OUT%.json}.report.jsonl: one obs.Report
 # line from a small instrumented cmd/verify run, so the full stage-timer /
