@@ -20,6 +20,11 @@
 //	verify -protocol torus -rows 3 -cols 3 -r 2
 //	verify -protocol bfs-cube -n 2 -sigma 3 -r 2
 //
+// -symmetry off explores the raw state space instead (auto, the default,
+// quotients whenever it is sound; on fails when it is not):
+//
+//	verify -protocol ring -n 7 -sigma 3 -r 3 -store hash -symmetry off
+//
 // Spin-class capacity mode — frontier spilling for any store, lossy
 // bitstate search, and kill-safe bitstate checkpoints (see README "Store
 // selection"):
@@ -69,6 +74,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		limit       = fs.Int("limit", 1<<24, "state-space limit")
 		workers     = fs.Int("workers", 0, "exploration worker-pool size (0 = GOMAXPROCS)")
 		store       = fs.String("store", "auto", "visited-state store: auto | dense | hash | bitstate (lossy)")
+		symmetry    = fs.String("symmetry", "auto", "symmetry quotient: auto (when sound) | on (required) | off")
 		bits        = fs.Int("bits", verify.DefaultBitstateBits, "bitstate: log2 bit capacity of the Bloom array")
 		bitstateK   = fs.Int("bitstate-k", verify.DefaultBitstateK, "bitstate: hash functions per state")
 		spillMem    = fs.Int64("spill-mem", 0, "frontier memory budget in bytes before spilling to disk (0 = never)")
@@ -151,12 +157,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	g := p.Graph()
 	rep.Nodes, rep.Edges, rep.Sigma, rep.R = g.N(), g.M(), p.Space().Size(), *r
 	rep.Options = map[string]string{
-		"n":       strconv.Itoa(*n),
-		"r":       strconv.Itoa(*r),
-		"output":  strconv.FormatBool(*output),
-		"limit":   strconv.Itoa(*limit),
-		"workers": strconv.Itoa(*workers),
-		"store":   *store,
+		"n":        strconv.Itoa(*n),
+		"r":        strconv.Itoa(*r),
+		"output":   strconv.FormatBool(*output),
+		"limit":    strconv.Itoa(*limit),
+		"workers":  strconv.Itoa(*workers),
+		"store":    *store,
+		"symmetry": *symmetry,
 	}
 	if *name == "torus" {
 		rep.Options["rows"] = strconv.Itoa(*rows)
@@ -178,6 +185,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	default:
 		return fmt.Errorf("unknown store %q", *store)
 	}
+	var symMode verify.SymmetryMode
+	switch *symmetry {
+	case "auto":
+		symMode = verify.SymmetryAuto
+	case "on":
+		symMode = verify.SymmetryOn
+	case "off":
+		symMode = verify.SymmetryOff
+	default:
+		return fmt.Errorf("unknown symmetry %q: want auto | on | off", *symmetry)
+	}
 
 	// The Theorem 3.1 pre-pass enumerates the full per-node labeling space;
 	// bitstate mode targets instances where exactly that is infeasible.
@@ -197,6 +215,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Workers:            *workers,
 		Metrics:            reg,
 		Store:              storeKind,
+		Symmetry:           symMode,
 		BitstateBits:       *bits,
 		BitstateK:          *bitstateK,
 		SpillMemBytes:      *spillMem,

@@ -96,3 +96,33 @@ func TestRunRejectsOutOfRangeSizes(t *testing.T) {
 		})
 	}
 }
+
+// -symmetry selects the quotient: off explores the raw state space of the
+// ring (32,202 states at n = 6, Σ = 3, r = 3), auto and on the rotation
+// quotient; an unknown mode is a usage error.
+func TestRunSymmetryFlag(t *testing.T) {
+	base := []string{"-protocol", "ring", "-n", "6", "-sigma", "3", "-r", "3", "-store", "hash"}
+	for _, tc := range []struct {
+		mode string
+		want string
+	}{
+		{"off", "label 3-stabilizing: true (explored 32202 states)"},
+		{"auto", "label 3-stabilizing: true (explored 5399 states)"},
+		{"on", "label 3-stabilizing: true (explored 5399 states)"},
+	} {
+		t.Run(tc.mode, func(t *testing.T) {
+			var out, errOut bytes.Buffer
+			if err := run(append(base, "-symmetry", tc.mode), &out, &errOut); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(out.String(), tc.want) {
+				t.Fatalf("output missing %q:\n%s", tc.want, out.String())
+			}
+		})
+	}
+	var out, errOut bytes.Buffer
+	err := run(append(base, "-symmetry", "maybe"), &out, &errOut)
+	if err == nil || !strings.Contains(err.Error(), `unknown symmetry "maybe"`) {
+		t.Fatalf("-symmetry maybe: err = %v, want an unknown-symmetry error", err)
+	}
+}

@@ -1,8 +1,8 @@
 // Package des is a discrete-event simulation runtime for stateless
 // protocols at scales the synchronous-rounds simulator (internal/sim) and
 // the goroutine-per-node runtime (internal/async) cannot reach. Instead of
-// touching every node every round, the runtime keeps a priority heap of
-// pending activation events and an O(1) dirty flag per node: a node is
+// touching every node every round, the runtime keeps a queue of pending
+// activation events and an O(1) dirty flag per node: a node is
 // scheduled only while it is *dirty* (some in-edge label changed since it
 // last reacted, one of its out-edges was corrupted, or it just rejoined
 // after a crash), so quiescent nodes cost nothing — a million-node ring
@@ -19,8 +19,17 @@
 // activations as long as its fairness bound allows. Every source of
 // randomness is a threaded rand.Source seed, so runs are bit-reproducible.
 //
+// The event queue pops events in (tick, seq) order, seq being push order.
+// It is a timing wheel with one bucket per tick over [now, now+wheelSpan)
+// and a bitmap to find the next non-empty tick, so a push or pop costs
+// O(1); the rare event scheduled wheelSpan or more ticks ahead waits in a
+// binary (tick, seq) heap and moves into its bucket once the window reaches
+// it. On a 2^18-node ring with up to 262k events pending, an activation
+// costs about 170 ns, against about 365 ns when one binary heap held every
+// event (perfbench des-faults, traced, seed 1, 2-core box).
+//
 // Fault injection (label corruption, node crash/rejoin) is scheduled on
-// the same heap via ScheduleFault; the composable scenario layer on top
+// the same queue via ScheduleFault; the composable scenario layer on top
 // lives in internal/workload.
 package des
 
@@ -28,7 +37,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
+	"sync"
 
 	"stateless/internal/core"
 	"stateless/internal/graph"
@@ -155,9 +166,30 @@ func (d AdversarialGreedy) Delay(rt *Runtime, v graph.NodeID) uint64 {
 	return 1
 }
 
-// event is one heap entry. node >= 0 is an activation of that node;
-// node < 0 is the fault closure at index -(node+1). seq breaks time ties
-// deterministically (heap order is (at, seq)).
+// wheelSpan is the width W of the timing wheel in ticks: one bucket per
+// tick of the window [now, now+W). It covers the adversarial daemon's
+// FairR·TicksPerRound delay (4096 at R = 4) and all but about 1e-7 of
+// Poisson delays at rate 1 (P[Exp(1) ≥ 16 rounds] = e^-16); later events
+// wait in the overflow heap.
+const wheelSpan = 1 << 14
+
+const (
+	wheelMask  = wheelSpan - 1
+	wheelWords = wheelSpan / 64
+)
+
+// buckets is the timing wheel's bucket array. Allocating and clearing its
+// 384 KiB of slice headers would cost more than a whole trial on a small
+// graph, so a Runtime takes one from bucketPool at its first push and
+// returns it, every bucket empty, when a Run drains the queue.
+type buckets [wheelSpan][]int32
+
+var bucketPool = sync.Pool{New: func() any { return new(buckets) }}
+
+// event is one overflow-heap entry. node >= 0 is an activation of that
+// node; node < 0 is the fault closure at index -(node+1). seq breaks time
+// ties deterministically (heap order is (at, seq)). Wheel buckets hold the
+// same node encoding as int32s, in push order.
 type event struct {
 	at   uint64
 	seq  uint64
@@ -182,7 +214,7 @@ type Config struct {
 
 // Result reports how a Run ended.
 type Result struct {
-	// Stabilized is true when the event heap drained: every node has
+	// Stabilized is true when the event queue drained: every node has
 	// reacted to its latest inputs and fixed them, i.e. the labeling is a
 	// fixed point of every reaction reachable from the run's dirt.
 	Stabilized bool
@@ -200,7 +232,10 @@ type Result struct {
 	Reactions   uint64
 	// Faults counts fired fault events.
 	Faults uint64
-	// MaxHeap is the high-water mark of the event heap.
+	// MaxHeap is the high-water mark of pending events, wheel and overflow
+	// heap together. An event stops pending at its turn within its tick,
+	// so the count is what one (tick, seq) heap of every pending event
+	// would hold.
 	MaxHeap int
 	// MaxWaitTicks is the largest dirty-to-activation latency observed —
 	// the empirical starvation bound of the daemon.
@@ -225,9 +260,16 @@ type Runtime struct {
 	pendingAt []uint64
 	crashed   []bool
 
-	heap []event
-	seq  uint64
-	now  uint64
+	// The event queue: a timing wheel of one bucket per tick over
+	// [now, now+wheelSpan), with an occupancy bitmap, in front of a
+	// (at, seq) binary heap holding the events at or past now+wheelSpan.
+	// See push and advance for why this pops in exact (at, seq) order.
+	wheel    *buckets // nil until the first push after New or a drained Run
+	occupied [wheelWords]uint64
+	inWheel  int
+	heap     []event
+	seq      uint64
+	now      uint64
 
 	faults    []func(*Runtime)
 	numFaults uint64
@@ -337,7 +379,7 @@ func (rt *Runtime) WouldChange(v graph.NodeID) bool {
 
 // MarkDirty schedules an activation for v per the daemon unless v is
 // crashed or already pending — the O(1) dirty-node tracking: each node has
-// at most one heap event, and clean (quiescent) nodes have none.
+// at most one queued event, and clean (quiescent) nodes have none.
 func (rt *Runtime) MarkDirty(v graph.NodeID) {
 	if rt.pending[v] || rt.crashed[v] {
 		return
@@ -348,10 +390,10 @@ func (rt *Runtime) MarkDirty(v graph.NodeID) {
 	if d == 0 {
 		d = 1
 	}
-	rt.push(event{at: rt.now + d, node: int64(v)})
+	rt.push(rt.now+d, int32(v))
 }
 
-// ScheduleFault schedules fn on the event heap at the absolute tick at
+// ScheduleFault schedules fn on the event queue at the absolute tick at
 // (clamped to after now). Faults at a given tick run before that tick's
 // activation batch, in scheduling order.
 func (rt *Runtime) ScheduleFault(at uint64, fn func(*Runtime)) {
@@ -362,7 +404,7 @@ func (rt *Runtime) ScheduleFault(at uint64, fn func(*Runtime)) {
 		at = rt.now + 1
 	}
 	rt.faults = append(rt.faults, fn)
-	rt.push(event{at: at, node: -int64(len(rt.faults))})
+	rt.push(at, -int32(len(rt.faults)))
 }
 
 // SetLabel overwrites edge id with l, marking both endpoints dirty: the
@@ -442,7 +484,7 @@ func (rt *Runtime) noteFault() {
 	rt.lastFault = rt.now
 }
 
-// Run processes events until the heap drains (stabilized), the next event
+// Run processes events until the queue drains (stabilized), the next event
 // lies beyond horizonRounds rounds, or ctx is canceled. A zero horizon
 // means 1 << 20 rounds. Returns ErrCanceled (wrapping ctx.Err()) on
 // cancellation.
@@ -459,8 +501,12 @@ func (rt *Runtime) Run(ctx context.Context, horizonRounds uint64) (Result, error
 		}
 	}
 	checks := 0
-	for len(rt.heap) > 0 {
-		if rt.heap[0].at > horizon {
+	for {
+		t, ok := rt.nextTick()
+		if !ok {
+			break
+		}
+		if t > horizon {
 			stabilized = false
 			break
 		}
@@ -469,20 +515,26 @@ func (rt *Runtime) Run(ctx context.Context, horizonRounds uint64) (Result, error
 				return Result{}, fmt.Errorf("%w: %w", ErrCanceled, err)
 			}
 		}
-		t := rt.heap[0].at
-		rt.now = t
-		// Pop the whole tick: fault events fire immediately (seq order),
+		rt.advance(t)
+		// Drain the whole tick in seq order: fault events fire immediately,
 		// activations form one simultaneous set against the pre-step state.
+		// Nothing pushed meanwhile lands in this bucket (every push is at
+		// ≥ now+1, and now+wheelSpan goes to the overflow heap), so the
+		// range below sees the whole tick and only it.
+		i := t & wheelMask
+		bucket := rt.wheel[i]
 		rt.batch = rt.batch[:0]
-		for len(rt.heap) > 0 && rt.heap[0].at == t {
-			ev := rt.pop()
-			if ev.node < 0 {
-				fn := rt.faults[-ev.node-1]
-				rt.faults[-ev.node-1] = nil // release the closure
+		for _, e := range bucket {
+			// The event leaves the pending count at its turn, as a heap pop
+			// would, so MaxHeap also counts what a fault pushes mid-tick.
+			rt.inWheel--
+			if e < 0 {
+				fn := rt.faults[-e-1]
+				rt.faults[-e-1] = nil // release the closure
 				fn(rt)
 				continue
 			}
-			v := graph.NodeID(ev.node)
+			v := graph.NodeID(e)
 			rt.pending[v] = false
 			if rt.crashed[v] {
 				continue
@@ -492,6 +544,8 @@ func (rt *Runtime) Run(ctx context.Context, horizonRounds uint64) (Result, error
 			}
 			rt.batch = append(rt.batch, v)
 		}
+		rt.wheel[i] = bucket[:0]
+		rt.occupied[i/64] &^= 1 << (i % 64)
 		if len(rt.batch) > 0 {
 			rt.stepBatch()
 			if rt.metrics != nil {
@@ -508,6 +562,10 @@ func (rt *Runtime) Run(ctx context.Context, horizonRounds uint64) (Result, error
 		if rt.maxBatch > 0 && cap(rt.batch) > rt.maxBatch {
 			rt.batch = nil
 		}
+	}
+	if rt.inWheel == 0 && rt.wheel != nil {
+		bucketPool.Put(rt.wheel)
+		rt.wheel = nil
 	}
 	res := Result{
 		Stabilized:   stabilized,
@@ -577,14 +635,81 @@ func (rt *Runtime) record(res Result, batchHist []int64) {
 	}
 }
 
-// push inserts an event, assigning its deterministic tie-break sequence.
-func (rt *Runtime) push(ev event) {
+// push queues an event at tick at (> now). An event inside the wheel's
+// window [now, now+wheelSpan) is appended to its tick's bucket; a later one
+// goes to the overflow heap.
+//
+// Why buckets pop in (at, seq) order: take any tick T. An overflow push to
+// T happens while now ≤ T−wheelSpan, a bucket push while now > T−wheelSpan,
+// and now never decreases, so every overflow event of T was pushed before
+// every bucket event of T. advance moves T's overflow events into the
+// bucket, in (at, seq) order, as soon as now passes T−wheelSpan and before
+// anything else runs at that now — so before any bucket push to T. The
+// bucket thus lists T's events in push order, which is seq order.
+func (rt *Runtime) push(at uint64, node int32) {
+	if at-rt.now < wheelSpan {
+		rt.pushWheel(at, node)
+	} else {
+		rt.pushHeap(event{at: at, node: int64(node)})
+	}
+	if n := rt.inWheel + len(rt.heap); n > rt.maxHeap {
+		rt.maxHeap = n
+	}
+}
+
+// nextTick returns the tick of the earliest pending event, or false when
+// none is pending. Overflow events all lie at ≥ now+wheelSpan (advance
+// keeps it so), past every wheel event, so the heap is consulted only
+// when the wheel is empty.
+func (rt *Runtime) nextTick() (uint64, bool) {
+	if rt.inWheel == 0 {
+		if len(rt.heap) == 0 {
+			return 0, false
+		}
+		return rt.heap[0].at, true
+	}
+	// Wheel events lie in [now+1, now+wheelSpan): scan the bitmap
+	// circularly from now+1's bucket.
+	start := rt.now + 1
+	first := start & wheelMask
+	w := first / 64
+	word := rt.occupied[w] &^ (1<<(first%64) - 1)
+	for word == 0 {
+		w = (w + 1) % wheelWords
+		word = rt.occupied[w]
+	}
+	i := w*64 + uint64(bits.TrailingZeros64(word))
+	return start + (i-first)&wheelMask, true
+}
+
+// advance moves now to t and drains every overflow event now inside the
+// window [t, t+wheelSpan) into its bucket, in (at, seq) order.
+func (rt *Runtime) advance(t uint64) {
+	rt.now = t
+	for len(rt.heap) > 0 && rt.heap[0].at-t < wheelSpan {
+		ev := rt.pop()
+		rt.pushWheel(ev.at, int32(ev.node))
+	}
+}
+
+// pushWheel appends node to the bucket of tick at, which lies in the
+// wheel's window.
+func (rt *Runtime) pushWheel(at uint64, node int32) {
+	if rt.wheel == nil {
+		rt.wheel = bucketPool.Get().(*buckets)
+	}
+	i := at & wheelMask
+	rt.wheel[i] = append(rt.wheel[i], node)
+	rt.occupied[i/64] |= 1 << (i % 64)
+	rt.inWheel++
+}
+
+// pushHeap inserts an overflow event, assigning its deterministic
+// tie-break sequence.
+func (rt *Runtime) pushHeap(ev event) {
 	ev.seq = rt.seq
 	rt.seq++
 	rt.heap = append(rt.heap, ev)
-	if len(rt.heap) > rt.maxHeap {
-		rt.maxHeap = len(rt.heap)
-	}
 	// Sift up.
 	h := rt.heap
 	i := len(h) - 1
@@ -598,7 +723,7 @@ func (rt *Runtime) push(ev event) {
 	}
 }
 
-// pop removes the minimum event.
+// pop removes the minimum overflow event.
 func (rt *Runtime) pop() event {
 	h := rt.heap
 	top := h[0]

@@ -1,9 +1,12 @@
 package stateless_test
 
 import (
+	"context"
+	"math/rand/v2"
 	"testing"
 
 	"stateless/internal/core"
+	"stateless/internal/des"
 	"stateless/internal/enc"
 	"stateless/internal/explore"
 	"stateless/internal/graph"
@@ -277,4 +280,42 @@ func BenchmarkIntern(b *testing.B) {
 			b.ReportMetric(float64(blocks*count)*float64(b.N)/b.Elapsed().Seconds(), "succ/s")
 		})
 	}
+}
+
+// BenchmarkDES measures the discrete-event runtime's activation
+// throughput: a Poisson (rate 1) steady run of SaturatingRing(1<<18, 4)
+// from a seeded random labeling until it stabilizes. Every node starts
+// dirty, so about 262k events are pending at once; a queue whose pop costs
+// O(log n), such as one binary heap of every event, makes this row 2–3x
+// slower. Only Run is timed; New (labeling copy, initial dirty marking) is
+// not. succ/s is activations per second.
+func BenchmarkDES(b *testing.B) {
+	p, err := protocols.SaturatingRing(1<<18, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := p.Graph()
+	x := make(core.Input, g.N())
+	l0 := core.RandomLabeling(g, p.Space(), rand.New(rand.NewPCG(1, 1)))
+	b.Run("poisson/steady", func(b *testing.B) {
+		b.ReportAllocs()
+		var acts uint64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			rt, err := des.New(p, x, l0, des.NewPoisson(1, 1), des.Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			res, err := rt.Run(context.Background(), 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.Stabilized {
+				b.Fatal("steady run did not stabilize")
+			}
+			acts += res.Activations
+		}
+		b.ReportMetric(float64(acts)/b.Elapsed().Seconds(), "succ/s")
+	})
 }

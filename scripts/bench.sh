@@ -20,7 +20,11 @@
 #                  calls; BenchmarkCanonicalize/Intern: single vs batched
 #                  variants, plus one Canonicalize row per minimizer ×
 #                  width and an Intern/hash/parallel row that guards the
-#                  hash store's lock-free hit path — see microbench_test.go).
+#                  hash store's lock-free hit path; BenchmarkDES: DES
+#                  activations/s, which guards the timing-wheel event
+#                  queue — see microbench_test.go). Each row is sized by
+#                  time, not iterations (MICROBENCHTIME per run), run
+#                  three times, and the median run is recorded.
 #
 # Alongside the JSON it writes ${OUT%.json}.report.jsonl: one obs.Report
 # line from a small instrumented cmd/verify run, so the full stage-timer /
@@ -33,13 +37,14 @@
 # Usage:
 #   scripts/bench.sh [output.json]       # default output: BENCH_verify.json
 #   BENCHTIME=10x scripts/bench.sh       # more iterations for a stable baseline
+#   MICROBENCHTIME=1s scripts/bench.sh   # longer micro runs
 #   CPUPROFILE=/tmp/cpu.prof scripts/bench.sh   # also write a CPU profile
 #                                               # of the states-graph bench
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-3x}"
-MICROBENCHTIME="${MICROBENCHTIME:-1000x}"
+MICROBENCHTIME="${MICROBENCHTIME:-200ms}"
 OUT="${1:-BENCH_verify.json}"
 REPORT="${OUT%.json}.report.jsonl"
 
@@ -68,19 +73,28 @@ MACRO=$(go test -run '^$' -bench BenchmarkVerifyStatesGraph \
         printf "%s\t%s\t%.3f\t%s\t%s\n", name, rate, ns / 1e6, fill, occ
     }')
 
-# name <TAB> succ/s per micro-benchmark (per-stage hot-path throughput).
+# name <TAB> succ/s per micro-benchmark (per-stage hot-path throughput):
+# the median of three time-sized runs, rows in benchmark order.
 MICRO=$(go test -run '^$' \
-  -bench '^(BenchmarkStep|BenchmarkPack|BenchmarkCanonicalize|BenchmarkIntern)$' \
-  -benchtime "$MICROBENCHTIME" -count 1 . |
+  -bench '^(BenchmarkStep|BenchmarkPack|BenchmarkCanonicalize|BenchmarkIntern|BenchmarkDES)$' \
+  -benchtime "$MICROBENCHTIME" -count 3 . |
   awk '
-    /^Benchmark(Step|Pack|Canonicalize|Intern)\// {
+    /^Benchmark(Step|Pack|Canonicalize|Intern|DES)\// {
       name = $1
       sub(/^Benchmark/, "", name)
       sub(/-[0-9]+$/, "", name)
       rate = ""
       for (i = 2; i < NF; i++) if ($(i + 1) == "succ/s") rate = $i
-      if (rate != "") printf "%s\t%s\n", name, rate
-    }')
+      if (rate == "") next
+      if (!(name in order)) order[name] = ++rows
+      printf "%d\t%s\t%s\n", order[name], name, rate
+    }' |
+  sort -t "$(printf '\t')" -k1,1n -k3,3g |
+  awk -F '\t' '
+    function flush() { if (n > 0) printf "%s\t%s\n", name, v[int((n + 1) / 2)] }
+    $1 != row { flush(); row = $1; name = $2; n = 0 }
+    { v[++n] = $3 }
+    END { flush() }')
 
 {
   printf '{\n  "benchmark": "BenchmarkVerifyStatesGraph",\n  "metric": "states/s",\n'

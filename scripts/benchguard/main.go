@@ -14,7 +14,9 @@
 //     must be a deliberate, baseline-regenerating change;
 //   - micro: succ/s per per-stage micro-benchmark (higher is better,
 //     guarded at a looser factor — single-stage numbers are noisier than
-//     end-to-end ones).
+//     end-to-end ones). A row listed in microBounds is guarded at its own
+//     factor instead, when the regression it exists to catch is smaller
+//     than the general micro factor.
 //
 // A section missing from the baseline is skipped, so old baseline files
 // (configs only) keep working; a section present in the baseline but
@@ -45,6 +47,16 @@ type benchFile struct {
 	MsPerVerdict map[string]float64 `json:"ms_per_verdict"`
 	Structure    map[string]float64 `json:"structure"`
 	Micro        map[string]float64 `json:"micro"`
+}
+
+// microBounds overrides the -micro-regress factor for single rows.
+// DES/poisson/steady times whole ~0.1 s DES runs (median of three), and
+// the event queue is only part of an activation's cost: a return from the
+// timing wheel to the O(log n) binary heap read 2.1–2.7x below the
+// recorded rate in five runs, which the general 3x micro factor would let
+// through.
+var microBounds = map[string]float64{
+	"DES/poisson/steady": 1.5,
 }
 
 func main() {
@@ -78,7 +90,7 @@ func run(args []string, stdout *os.File) error {
 		return err
 	}
 	var failures []string
-	check := func(section string, base, cur map[string]float64, lowerBetter bool, factor float64) {
+	check := func(section string, base, cur map[string]float64, lowerBetter bool, factor float64, bounds map[string]float64) {
 		if len(base) == 0 {
 			return
 		}
@@ -99,8 +111,12 @@ func run(args []string, stdout *os.File) error {
 			if lowerBetter {
 				ratio = c / b
 			}
+			bound := factor
+			if f, ok := bounds[name]; ok {
+				bound = f
+			}
 			status := "ok  "
-			if c <= 0 || ratio > factor {
+			if c <= 0 || ratio > bound {
 				status = "FAIL"
 				failures = append(failures, section)
 			}
@@ -141,10 +157,10 @@ func run(args []string, stdout *os.File) error {
 				status, section, name, b, c, ratio)
 		}
 	}
-	check("states/s", baseline.Configs, current.Configs, false, *maxRegress)
-	check("ms/verdict", baseline.MsPerVerdict, current.MsPerVerdict, true, *maxRegress)
+	check("states/s", baseline.Configs, current.Configs, false, *maxRegress, nil)
+	check("ms/verdict", baseline.MsPerVerdict, current.MsPerVerdict, true, *maxRegress, nil)
 	checkDrift("structure", baseline.Structure, current.Structure, *structDrift)
-	check("micro succ/s", baseline.Micro, current.Micro, false, *microRegress)
+	check("micro succ/s", baseline.Micro, current.Micro, false, *microRegress, microBounds)
 	if len(failures) > 0 {
 		return fmt.Errorf("%d metric(s) regressed beyond the allowed factor", len(failures))
 	}
