@@ -30,8 +30,11 @@ type SymmetricReaction func(in []Label, input Bit) (Label, Bit)
 // Protocol is a stateless protocol A = (Σ, δ) on a fixed graph: the label
 // space plus one reaction function per node.
 type Protocol struct {
-	g         *graph.Graph
-	space     LabelSpace
+	g     *graph.Graph
+	space LabelSpace
+	// shared is the one reaction of a uniform protocol; reactions holds one
+	// per node otherwise (and is nil when shared is set).
+	shared    Reaction
 	reactions []Reaction
 	uniform   bool
 	symmetric bool
@@ -47,11 +50,8 @@ var (
 // NewProtocol builds a protocol from a graph, a label space, and one
 // reaction per node (reactions[i] is δ_i).
 func NewProtocol(g *graph.Graph, space LabelSpace, reactions []Reaction) (*Protocol, error) {
-	if g == nil {
-		return nil, ErrNilGraph
-	}
-	if space.Size() == 0 {
-		return nil, ErrEmptySpace
+	if err := checkShape(g, space); err != nil {
+		return nil, err
 	}
 	if len(reactions) != g.N() {
 		return nil, fmt.Errorf("%w: got %d for n=%d", ErrReactionCount, len(reactions), g.N())
@@ -68,22 +68,27 @@ func NewProtocol(g *graph.Graph, space LabelSpace, reactions []Reaction) (*Proto
 	}, nil
 }
 
-// NewUniformProtocol builds a protocol in which every node runs the same
-// reaction function.
-func NewUniformProtocol(g *graph.Graph, space LabelSpace, r Reaction) (*Protocol, error) {
+// checkShape validates the arguments every constructor shares.
+func checkShape(g *graph.Graph, space LabelSpace) error {
 	if g == nil {
-		return nil, ErrNilGraph
+		return ErrNilGraph
 	}
-	reactions := make([]Reaction, g.N())
-	for i := range reactions {
-		reactions[i] = r
+	if space.Size() == 0 {
+		return ErrEmptySpace
 	}
-	p, err := NewProtocol(g, space, reactions)
-	if err != nil {
+	return nil
+}
+
+// NewUniformProtocol builds a protocol in which every node runs the same
+// reaction function. The protocol stores r once, not once per node.
+func NewUniformProtocol(g *graph.Graph, space LabelSpace, r Reaction) (*Protocol, error) {
+	if err := checkShape(g, space); err != nil {
 		return nil, err
 	}
-	p.uniform = true
-	return p, nil
+	if r == nil {
+		return nil, ErrNilReaction
+	}
+	return &Protocol{g: g, space: space, shared: r, uniform: true}, nil
 }
 
 // NewSymmetricProtocol builds a node-uniform protocol whose shared reaction
@@ -164,6 +169,9 @@ func (p *Protocol) LabelBits() int { return p.space.Bits() }
 func (p *Protocol) React(v graph.NodeID, l Labeling, input Bit, inBuf, out []Label) Bit {
 	for i, id := range p.g.In(v) {
 		inBuf[i] = l[id]
+	}
+	if p.shared != nil {
+		return p.shared(inBuf, input, out)
 	}
 	return p.reactions[v](inBuf, input, out)
 }

@@ -25,8 +25,10 @@
 // O(1); the rare event scheduled wheelSpan or more ticks ahead waits in a
 // binary (tick, seq) heap and moves into its bucket once the window reaches
 // it. On a 2^18-node ring with up to 262k events pending, an activation
-// costs about 170 ns, against about 365 ns when one binary heap held every
-// event (perfbench des-faults, traced, seed 1, 2-core box).
+// costs about 100 ns (perfbench des-faults, traced, seed 1, 2-core box);
+// one binary heap of every event made it about 2.2x slower, and adjacency
+// kept as one small slice per node instead of graph.Graph's flat arrays
+// about 1.25x slower.
 //
 // Fault injection (label corruption, node crash/rejoin) is scheduled on
 // the same queue via ScheduleFault; the composable scenario layer on top
@@ -607,7 +609,7 @@ func (rt *Runtime) stepBatch() {
 		if rt.labels[id] != rt.writeLab[i] {
 			rt.labels[id] = rt.writeLab[i]
 			rt.lastChange = rt.now
-			rt.MarkDirty(rt.g.Edge(id).To)
+			rt.MarkDirty(rt.g.Head(id))
 		}
 	}
 }

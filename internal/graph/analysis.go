@@ -19,19 +19,12 @@ func (g *Graph) bfsDist(src NodeID, reverse bool) []int {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		var ids []EdgeID
+		ids, ends := g.Out(v), g.heads
 		if reverse {
-			ids = g.in[v]
-		} else {
-			ids = g.out[v]
+			ids, ends = g.In(v), g.tails
 		}
 		for _, id := range ids {
-			var u NodeID
-			if reverse {
-				u = g.edges[id].From
-			} else {
-				u = g.edges[id].To
-			}
+			u := NodeID(ends[id])
 			if dist[u] == -1 {
 				dist[u] = dist[v] + 1
 				queue = append(queue, u)
@@ -136,19 +129,12 @@ func (g *Graph) spanningTree(root NodeID, reverse bool) (*Tree, error) {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		var ids []EdgeID
+		ids, ends := g.Out(v), g.heads
 		if reverse {
-			ids = g.in[v]
-		} else {
-			ids = g.out[v]
+			ids, ends = g.In(v), g.tails
 		}
 		for _, id := range ids {
-			var u NodeID
-			if reverse {
-				u = g.edges[id].From
-			} else {
-				u = g.edges[id].To
-			}
+			u := NodeID(ends[id])
 			if !visited[u] {
 				visited[u] = true
 				t.Parent[u] = v
@@ -206,8 +192,8 @@ func (g *Graph) SCCs() [][]NodeID {
 		onStack[start] = true
 		for len(callStack) > 0 {
 			f := &callStack[len(callStack)-1]
-			if f.next < len(g.out[f.v]) {
-				u := g.edges[g.out[f.v][f.next]].To
+			if out := g.Out(f.v); f.next < len(out) {
+				u := g.Head(out[f.next])
 				f.next++
 				if index[u] == unvisited {
 					index[u] = counter

@@ -76,16 +76,17 @@ func (g *Graph) propagateAutomorphism(v0 NodeID) (Automorphism, bool) {
 		u := queue[0]
 		queue = queue[1:]
 		w := node[u]
-		if len(g.out[u]) != len(g.out[w]) || len(g.in[u]) != len(g.in[w]) {
+		outU, outW, inU, inW := g.Out(u), g.Out(w), g.In(u), g.In(w)
+		if len(outU) != len(outW) || len(inU) != len(inW) {
 			return Automorphism{}, false
 		}
-		for k, id := range g.out[u] {
-			if !assign(g.edges[id].To, g.edges[g.out[w][k]].To) {
+		for k, id := range outU {
+			if !assign(g.Head(id), g.Head(outW[k])) {
 				return Automorphism{}, false
 			}
 		}
-		for k, id := range g.in[u] {
-			if !assign(g.edges[id].From, g.edges[g.in[w][k]].From) {
+		for k, id := range inU {
+			if !assign(NodeID(g.tails[id]), NodeID(g.tails[inW[k]])) {
 				return Automorphism{}, false
 			}
 		}
@@ -100,13 +101,5 @@ func (g *Graph) propagateAutomorphism(v0 NodeID) (Automorphism, bool) {
 		seen[img] = true
 	}
 	// Build the induced edge permutation; every image edge must exist.
-	edge := make([]EdgeID, len(g.edges))
-	for id, e := range g.edges {
-		img, ok := g.EdgeIDOf(node[e.From], node[e.To])
-		if !ok {
-			return Automorphism{}, false
-		}
-		edge[id] = img
-	}
-	return Automorphism{Node: node, Edge: edge}, true
+	return automorphismFromNodes(g, node)
 }

@@ -1,7 +1,12 @@
 package graph
 
 import (
+	"errors"
+	"math"
 	"math/rand/v2"
+	"slices"
+	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -18,6 +23,7 @@ func TestNewValidation(t *testing.T) {
 		{"to out of range", 2, []Edge{{0, 2}}, ErrNodeRange},
 		{"self loop", 2, []Edge{{1, 1}}, ErrSelfLoop},
 		{"duplicate", 2, []Edge{{0, 1}, {0, 1}}, ErrDuplicateEdge},
+		{"duplicate apart", 3, []Edge{{0, 1}, {1, 2}, {2, 0}, {0, 1}}, ErrDuplicateEdge},
 		{"ok", 2, []Edge{{0, 1}, {1, 0}}, nil},
 		{"ok no edges", 3, nil, nil},
 	}
@@ -30,10 +36,174 @@ func TestNewValidation(t *testing.T) {
 				}
 				return
 			}
-			if err == nil {
-				t.Fatalf("New() = nil error, want %v", tt.wantErr)
+			if !errors.Is(err, tt.wantErr) {
+				t.Fatalf("New() error = %v, want %v", err, tt.wantErr)
 			}
 		})
+	}
+}
+
+// Node and edge indices are int32: a size past math.MaxInt32 must fail
+// before anything is allocated, not wrap. Only the node count is tested;
+// an edge list that long would need tens of gigabytes.
+func TestNewRejectsTooLarge(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("int cannot exceed math.MaxInt32")
+	}
+	big := int64(math.MaxInt32)
+	if _, err := New(int(big+1), nil); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("New(MaxInt32+1, nil) error = %v, want %v", err, ErrTooLarge)
+	}
+}
+
+// refAdjacency is the adjacency built the straightforward way: one slice per
+// node and direction, sorted by opposite endpoint and then by EdgeID.
+func refAdjacency(n int, edges []Edge) (in, out [][]EdgeID) {
+	in, out = make([][]EdgeID, n), make([][]EdgeID, n)
+	for id, e := range edges {
+		out[e.From] = append(out[e.From], EdgeID(id))
+		in[e.To] = append(in[e.To], EdgeID(id))
+	}
+	sortBy := func(ids []EdgeID, end func(Edge) NodeID) {
+		sort.Slice(ids, func(a, b int) bool {
+			ea, eb := end(edges[ids[a]]), end(edges[ids[b]])
+			if ea != eb {
+				return ea < eb
+			}
+			return ids[a] < ids[b]
+		})
+	}
+	for v := range n {
+		sortBy(in[v], func(e Edge) NodeID { return e.From })
+		sortBy(out[v], func(e Edge) NodeID { return e.To })
+	}
+	return in, out
+}
+
+// randomEdges returns the edges of a random loop-free digraph on n nodes
+// (each ordered pair with probability p) in shuffled order.
+func randomEdges(n int, p float64, rng *rand.Rand) []Edge {
+	var edges []Edge
+	for u := range n {
+		for v := range n {
+			if u != v && rng.Float64() < p {
+				edges = append(edges, Edge{NodeID(u), NodeID(v)})
+			}
+		}
+	}
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	return edges
+}
+
+// checkAgainstReference compares every adjacency query of g with the
+// reference built from the same edge list.
+func checkAgainstReference(t *testing.T, g *Graph, edges []Edge) {
+	t.Helper()
+	n := g.N()
+	in, out := refAdjacency(n, edges)
+	if g.M() != len(edges) {
+		t.Fatalf("M = %d, want %d", g.M(), len(edges))
+	}
+	maxDeg := 0
+	for v := range n {
+		node := NodeID(v)
+		if !slices.Equal(g.In(node), in[v]) {
+			t.Fatalf("In(%d) = %v, want %v", v, g.In(node), in[v])
+		}
+		if !slices.Equal(g.Out(node), out[v]) {
+			t.Fatalf("Out(%d) = %v, want %v", v, g.Out(node), out[v])
+		}
+		if g.InDegree(node) != len(in[v]) || g.OutDegree(node) != len(out[v]) {
+			t.Fatalf("node %d degrees (%d, %d), want (%d, %d)", v,
+				g.InDegree(node), g.OutDegree(node), len(in[v]), len(out[v]))
+		}
+		maxDeg = max(maxDeg, len(in[v])+len(out[v]))
+	}
+	if g.MaxDegree() != maxDeg {
+		t.Fatalf("MaxDegree = %d, want %d", g.MaxDegree(), maxDeg)
+	}
+	for id, e := range edges {
+		if g.Edge(EdgeID(id)) != e || g.Head(EdgeID(id)) != e.To {
+			t.Fatalf("edge %d = %v (head %d), want %v", id, g.Edge(EdgeID(id)), g.Head(EdgeID(id)), e)
+		}
+	}
+	// Every ordered pair, present or not, against the reference.
+	for u := range n {
+		for v := range n {
+			from, to := NodeID(u), NodeID(v)
+			wantIn, wantOut, wantID := -1, -1, EdgeID(-1)
+			for i, id := range out[u] {
+				if edges[id].To == to {
+					wantOut, wantID = i, id
+				}
+			}
+			for i, id := range in[v] {
+				if edges[id].From == from {
+					wantIn = i
+				}
+			}
+			if i, ok := g.OutIndex(from, to); ok != (wantOut >= 0) || ok && i != wantOut {
+				t.Fatalf("OutIndex(%d, %d) = %d, %v; want %d", u, v, i, ok, wantOut)
+			}
+			if i, ok := g.InIndex(from, to); ok != (wantIn >= 0) || ok && i != wantIn {
+				t.Fatalf("InIndex(%d, %d) = %d, %v; want %d", u, v, i, ok, wantIn)
+			}
+			if id, ok := g.EdgeIDOf(from, to); ok != (wantID >= 0) || ok && id != wantID {
+				t.Fatalf("EdgeIDOf(%d, %d) = %d, %v; want %d", u, v, id, ok, wantID)
+			}
+			if g.HasEdge(from, to) != (wantID >= 0) {
+				t.Fatalf("HasEdge(%d, %d) = %v", u, v, !(wantID >= 0))
+			}
+		}
+	}
+}
+
+// TestNewMatchesReference pins the CSR build to the per-node reference on
+// seeded random graphs (edges in shuffled order, degrees past the small-sort
+// cutoff) and on every topology constructor, checks that a duplicate pair is
+// rejected wherever it sits, and bounds New's allocations so per-node
+// allocation cannot return.
+func TestNewMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(20, 1))
+	for trial := range 40 {
+		n := 1 + rng.IntN(40)
+		edges := randomEdges(n, rng.Float64(), rng)
+		g, err := New(n, edges)
+		if err != nil {
+			t.Fatalf("trial %d: New: %v", trial, err)
+		}
+		checkAgainstReference(t, g, edges)
+	}
+	for name, g := range map[string]*Graph{
+		"ring":     Ring(7),
+		"biring":   BidirectionalRing(6),
+		"clique":   Clique(14),
+		"star":     Star(15),
+		"path":     Path(5),
+		"torus":    Torus(3, 4),
+		"cube":     Hypercube(4),
+		"random":   RandomStronglyConnected(20, 0.3, rand.New(rand.NewPCG(3, 4))),
+		"one node": MustNew(1, nil),
+	} {
+		t.Run(name, func(t *testing.T) { checkAgainstReference(t, g, g.Edges()) })
+	}
+
+	edges := randomEdges(12, 0.5, rng)
+	k := len(edges)
+	for name, dup := range map[string][]Edge{
+		"first and middle": append([]Edge{edges[k/2]}, edges...),
+		"first and last":   append(append([]Edge(nil), edges...), edges[0]),
+		"last and first":   append([]Edge{edges[k-1]}, edges...),
+		"adjacent":         append(append(append([]Edge(nil), edges[:k/2+1]...), edges[k/2]), edges[k/2+1:]...),
+	} {
+		if _, err := New(12, dup); !errors.Is(err, ErrDuplicateEdge) {
+			t.Errorf("duplicate %s: New error = %v, want %v", name, err, ErrDuplicateEdge)
+		}
+	}
+
+	ring := Ring(1 << 12).Edges()
+	if a := testing.AllocsPerRun(10, func() { MustNew(1<<12, ring) }); a > 8 {
+		t.Errorf("New(Ring(4096)) makes %.0f allocations, want ≤ 8", a)
 	}
 }
 

@@ -141,7 +141,7 @@ func (gr *Group) Subgroup(keep func(Automorphism) bool) *Group {
 // a bijection on the node set and Edge is exactly the edge permutation it
 // induces (every image edge exists and is recorded).
 func validateAutomorphism(g *Graph, a Automorphism) error {
-	if len(a.Node) != g.n || len(a.Edge) != len(g.edges) {
+	if len(a.Node) != g.n || len(a.Edge) != g.M() {
 		return fmt.Errorf("%w: size mismatch", ErrNotAutomorphism)
 	}
 	seen := make([]bool, g.n)
@@ -151,7 +151,8 @@ func validateAutomorphism(g *Graph, a Automorphism) error {
 		}
 		seen[img] = true
 	}
-	for id, e := range g.edges {
+	for id := range a.Edge {
+		e := g.Edge(EdgeID(id))
 		img, ok := g.EdgeIDOf(a.Node[e.From], a.Node[e.To])
 		if !ok {
 			return fmt.Errorf("%w: image of edge %v missing", ErrNotAutomorphism, e)
@@ -167,9 +168,9 @@ func validateAutomorphism(g *Graph, a Automorphism) error {
 // inducing the edge permutation, or reports false when some image edge does
 // not exist (the permutation is not an automorphism).
 func automorphismFromNodes(g *Graph, node []NodeID) (Automorphism, bool) {
-	edge := make([]EdgeID, len(g.edges))
-	for id, e := range g.edges {
-		img, ok := g.EdgeIDOf(node[e.From], node[e.To])
+	edge := make([]EdgeID, g.M())
+	for id := range edge {
+		img, ok := g.EdgeIDOf(node[g.tails[id]], node[g.heads[id]])
 		if !ok {
 			return Automorphism{}, false
 		}
@@ -199,7 +200,7 @@ func identityAutomorphism(g *Graph) Automorphism {
 	for v := range node {
 		node[v] = NodeID(v)
 	}
-	edge := make([]EdgeID, len(g.edges))
+	edge := make([]EdgeID, g.M())
 	for e := range edge {
 		edge[e] = EdgeID(e)
 	}

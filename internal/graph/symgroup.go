@@ -66,7 +66,7 @@ func (g *Graph) OrderPreservingGroup() *Group {
 // (0 1 … n−1).
 func CliqueGroup(g *Graph) (*Group, bool) {
 	n := g.n
-	if len(g.edges) != n*(n-1) {
+	if g.M() != n*(n-1) {
 		return nil, false
 	}
 	for u := 0; u < n; u++ {
@@ -105,7 +105,7 @@ func HypercubeGroup(g *Graph) (*Group, bool) {
 	for 1<<d < n {
 		d++
 	}
-	if 1<<d != n || len(g.edges) != n*d {
+	if 1<<d != n || g.M() != n*d {
 		return nil, false
 	}
 	for v := 0; v < n; v++ {
@@ -147,11 +147,11 @@ func HypercubeGroup(g *Graph) (*Group, bool) {
 // step of rotation along the cycle and one reflection.
 func DihedralGroup(g *Graph) (*Group, bool) {
 	n := g.n
-	if n < 3 || len(g.edges) != 2*n {
+	if n < 3 || g.M() != 2*n {
 		return nil, false
 	}
 	for v := 0; v < n; v++ {
-		if len(g.out[v]) != 2 || len(g.in[v]) != 2 {
+		if g.OutDegree(NodeID(v)) != 2 || g.InDegree(NodeID(v)) != 2 {
 			return nil, false
 		}
 	}
@@ -164,8 +164,8 @@ func DihedralGroup(g *Graph) (*Group, bool) {
 		cycle = append(cycle, cur)
 		onCycle[cur] = true
 		next := NodeID(-1)
-		for _, id := range g.out[cur] {
-			to := g.edges[id].To
+		for _, id := range g.Out(cur) {
+			to := g.Head(id)
 			if !g.HasEdge(to, cur) {
 				return nil, false
 			}
@@ -234,7 +234,7 @@ func TorusGroup(g *Graph) (*Group, bool) {
 
 // isTorus checks that g's edge set is exactly the rows×cols torus's.
 func isTorus(g *Graph, rows, cols int) bool {
-	if len(g.edges) != 4*rows*cols {
+	if g.M() != 4*rows*cols {
 		return false
 	}
 	deg := 0
@@ -252,7 +252,7 @@ func isTorus(g *Graph, rows, cols int) bool {
 	}
 	// Degree sum matches the edge count, so the checked edges are all of
 	// them (rows, cols ≥ 3 keeps the four neighbors distinct).
-	return deg == len(g.edges)
+	return deg == g.M()
 }
 
 // mustFromNodes lifts a node permutation built by a detector; the detectors

@@ -4,7 +4,11 @@
 #
 #   configs        states/s for every BenchmarkVerifyStatesGraph
 #                  configuration (clique worker counts, ring store ×
-#                  symmetry matrix) — unique-states-interned throughput;
+#                  symmetry matrix) — unique-states-interned throughput.
+#                  Like the micro rows, each configuration is sized by time
+#                  (BENCHTIME per run, so a 1 ms verdict is timed over
+#                  hundreds of calls, not three), run three times, and the
+#                  median run (by states/s) is recorded;
 #   ms_per_verdict wall milliseconds per full verdict for the same
 #                  configurations (ns/op of one LabelRStabilizing call) —
 #                  the end-to-end latency the states/s rate alone hides
@@ -22,7 +26,9 @@
 #                  width and an Intern/hash/parallel row that guards the
 #                  hash store's lock-free hit path; BenchmarkDES: DES
 #                  activations/s, which guards the timing-wheel event
-#                  queue — see microbench_test.go). Each row is sized by
+#                  queue; BenchmarkGraphNew: nodes/s of graph.New on a
+#                  2^18-node ring, which guards the flat CSR build — see
+#                  microbench_test.go). Each row is sized by
 #                  time, not iterations (MICROBENCHTIME per run), run
 #                  three times, and the median run is recorded.
 #
@@ -36,14 +42,14 @@
 #
 # Usage:
 #   scripts/bench.sh [output.json]       # default output: BENCH_verify.json
-#   BENCHTIME=10x scripts/bench.sh       # more iterations for a stable baseline
+#   BENCHTIME=2s scripts/bench.sh        # longer states-graph runs
 #   MICROBENCHTIME=1s scripts/bench.sh   # longer micro runs
 #   CPUPROFILE=/tmp/cpu.prof scripts/bench.sh   # also write a CPU profile
 #                                               # of the states-graph bench
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCHTIME="${BENCHTIME:-3x}"
+BENCHTIME="${BENCHTIME:-500ms}"
 MICROBENCHTIME="${MICROBENCHTIME:-200ms}"
 OUT="${1:-BENCH_verify.json}"
 REPORT="${OUT%.json}.report.jsonl"
@@ -53,10 +59,23 @@ if [ -n "${CPUPROFILE:-}" ]; then
   PROFILE_ARGS=(-cpuprofile "$CPUPROFILE")
 fi
 
+# median_runs reads "row <TAB> name <TAB> rate [<TAB> more...]" lines, three
+# per row, and prints "name <TAB> rate [<TAB> more...]" of each row's median
+# run by rate, rows in benchmark order.
+median_runs() {
+  sort -t "$(printf '\t')" -k1,1n -k3,3g |
+    awk -F '\t' '
+      function flush() { if (n > 0) print v[int((n + 1) / 2)] }
+      $1 != row { flush(); row = $1; n = 0 }
+      { line = $2; for (i = 3; i <= NF; i++) line = line "\t" $i; v[++n] = line }
+      END { flush() }'
+}
+
 # name <TAB> states/s <TAB> ms/verdict <TAB> fill <TAB> occ_ppm per
-# states-graph configuration ("-" when a structural metric is absent).
+# states-graph configuration ("-" when a structural metric is absent): the
+# median of three time-sized runs.
 MACRO=$(go test -run '^$' -bench BenchmarkVerifyStatesGraph \
-  -benchtime "$BENCHTIME" -count 1 "${PROFILE_ARGS[@]}" . |
+  -benchtime "$BENCHTIME" -count 3 "${PROFILE_ARGS[@]}" . |
   awk '
     /^BenchmarkVerifyStatesGraph\// {
       name = $1
@@ -69,17 +88,18 @@ MACRO=$(go test -run '^$' -bench BenchmarkVerifyStatesGraph \
         if ($(i + 1) == "fill") fill = $i
         if ($(i + 1) == "occ_ppm") occ = $i
       }
-      if (rate != "" && ns != "")
-        printf "%s\t%s\t%.3f\t%s\t%s\n", name, rate, ns / 1e6, fill, occ
-    }')
+      if (rate == "" || ns == "") next
+      if (!(name in order)) order[name] = ++rows
+      printf "%d\t%s\t%s\t%.3f\t%s\t%s\n", order[name], name, rate, ns / 1e6, fill, occ
+    }' | median_runs)
 
 # name <TAB> succ/s per micro-benchmark (per-stage hot-path throughput):
 # the median of three time-sized runs, rows in benchmark order.
 MICRO=$(go test -run '^$' \
-  -bench '^(BenchmarkStep|BenchmarkPack|BenchmarkCanonicalize|BenchmarkIntern|BenchmarkDES)$' \
+  -bench '^(BenchmarkStep|BenchmarkPack|BenchmarkCanonicalize|BenchmarkIntern|BenchmarkDES|BenchmarkGraphNew)$' \
   -benchtime "$MICROBENCHTIME" -count 3 . |
   awk '
-    /^Benchmark(Step|Pack|Canonicalize|Intern|DES)\// {
+    /^Benchmark(Step|Pack|Canonicalize|Intern|DES|GraphNew)\// {
       name = $1
       sub(/^Benchmark/, "", name)
       sub(/-[0-9]+$/, "", name)
@@ -88,13 +108,7 @@ MICRO=$(go test -run '^$' \
       if (rate == "") next
       if (!(name in order)) order[name] = ++rows
       printf "%d\t%s\t%s\n", order[name], name, rate
-    }' |
-  sort -t "$(printf '\t')" -k1,1n -k3,3g |
-  awk -F '\t' '
-    function flush() { if (n > 0) printf "%s\t%s\n", name, v[int((n + 1) / 2)] }
-    $1 != row { flush(); row = $1; name = $2; n = 0 }
-    { v[++n] = $3 }
-    END { flush() }')
+    }' | median_runs)
 
 {
   printf '{\n  "benchmark": "BenchmarkVerifyStatesGraph",\n  "metric": "states/s",\n'
