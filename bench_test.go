@@ -77,10 +77,6 @@ func BenchmarkE11_BestResponse(b *testing.B) {
 	benchExperiment(b, experiments.E11BestResponse)
 }
 
-func BenchmarkE12_AsyncRuntime(b *testing.B) {
-	benchExperiment(b, experiments.E12AsyncRuntime)
-}
-
 // Micro-benchmarks for the engine itself.
 
 // benchRingProtocol is the E1-style ring workload — protocols.SaturatingRing

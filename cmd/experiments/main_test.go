@@ -2,10 +2,41 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "regenerate testdata/tables.golden")
+
+// Every experiment table is pinned as a golden file, so a change that
+// should leave the reproduced results alone is checked byte for byte.
+// Intended changes are reviewed by regenerating with -update.
+func TestTablesGolden(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(nil, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "tables.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with: go test ./cmd/experiments -run TestTablesGolden -update)", err)
+	}
+	if got := out.Bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("experiment tables deviate from golden file (regenerate with -update if intended):\n--- got\n%s\n--- want\n%s", got, want)
+	}
+}
 
 // Smoke test: the binary's run() must succeed and produce a rendered table
 // for a cheap experiment. Guards the module build (this package had no

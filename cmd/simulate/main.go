@@ -141,7 +141,7 @@ func run(args []string, stdout io.Writer) error {
 		l0 = protocols.Example1OscillationStart(g)
 	}
 
-	sched, period, err := buildSchedule(schedStr, *name, nn, *r, *seed, defaultSchedule)
+	sched, err := buildSchedule(schedStr, *name, nn, *r, *seed, defaultSchedule)
 	if err != nil {
 		return err
 	}
@@ -149,11 +149,10 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "protocol=%s nodes=%d edges=%d |Σ|=%d (%d bits) schedule=%s\n",
 		*name, nn, g.M(), p.Space().Size(), p.LabelBits(), schedStr)
 
-	opts := sim.Options{MaxSteps: *maxSteps}
-	if period > 0 {
-		opts.DetectCycles = true
-		opts.CyclePeriod = period
-	}
+	// Cycle detection is sound only under a periodic schedule; random
+	// r-fair runs go to the step bound.
+	_, periodic := sched.(schedule.Periodic)
+	opts := sim.Options{MaxSteps: *maxSteps, DetectCycles: periodic}
 	start := time.Now()
 	rep := newSimReport(p, *name, map[string]string{
 		"schedule": schedStr,
@@ -304,16 +303,13 @@ func runSweep(stdout io.Writer, p *core.Protocol, x core.Input, trials, workers 
 	results := make([]sim.Result, trials)
 	err := par.ForEach(trials, workers, func(i int) error {
 		trialSeed := seed + uint64(i)
-		sched, period, err := buildSchedule(schedKind, name, g.N(), r, trialSeed, adversarial)
+		sched, err := buildSchedule(schedKind, name, g.N(), r, trialSeed, adversarial)
 		if err != nil {
 			return err
 		}
-		o := opts
-		o.DetectCycles = period > 0
-		o.CyclePeriod = period
 		rng := rand.New(rand.NewPCG(trialSeed, trialSeed))
 		l0 := core.RandomLabeling(g, p.Space(), rng)
-		res, err := sim.Run(p, x, l0, sched, o)
+		res, err := sim.Run(p, x, l0, sched, opts)
 		if err != nil {
 			return err
 		}
@@ -431,25 +427,23 @@ func buildProtocol(name string, n int, d, q uint64) (*core.Protocol, [][]graph.N
 	}
 }
 
-func buildSchedule(kind, name string, n, r int, seed uint64, adversarial [][]graph.NodeID) (schedule.Schedule, int, error) {
+func buildSchedule(kind, name string, n, r int, seed uint64, adversarial [][]graph.NodeID) (schedule.Schedule, error) {
 	switch kind {
 	case "sync":
-		return schedule.Synchronous{N: n}, 1, nil
+		return schedule.Synchronous{N: n}, nil
 	case "roundrobin":
-		return schedule.RoundRobin{N: n}, n, nil
+		return schedule.RoundRobin{N: n}, nil
 	case "rfair":
 		if r <= 0 {
 			r = n - 1
 		}
-		s, err := schedule.NewRandomRFair(n, r, 0.4, seed)
-		return s, 0, err
+		return schedule.NewRandomRFair(n, r, 0.4, seed)
 	case "adversarial":
 		if adversarial == nil {
-			return nil, 0, fmt.Errorf("protocol %q has no built-in adversarial schedule", name)
+			return nil, fmt.Errorf("protocol %q has no built-in adversarial schedule", name)
 		}
-		s, err := schedule.NewScripted(adversarial)
-		return s, len(adversarial), err
+		return schedule.NewScripted(adversarial)
 	default:
-		return nil, 0, fmt.Errorf("unknown -sched %q (valid: sync | roundrobin | rfair | adversarial | des)", kind)
+		return nil, fmt.Errorf("unknown -sched %q (valid: sync | roundrobin | rfair | adversarial | des)", kind)
 	}
 }

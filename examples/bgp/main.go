@@ -51,7 +51,7 @@ func main() {
 			log.Fatal(err)
 		}
 		rrRes, err := sim.Run(p, x, empty, schedule.RoundRobin{N: n},
-			sim.Options{MaxSteps: 10000, DetectCycles: true, CyclePeriod: n})
+			sim.Options{MaxSteps: 10000, DetectCycles: true})
 		if err != nil {
 			log.Fatal(err)
 		}

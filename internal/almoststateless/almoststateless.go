@@ -25,7 +25,6 @@ import (
 
 	"stateless/internal/core"
 	"stateless/internal/enc"
-	"stateless/internal/explore"
 	"stateless/internal/obs"
 	"stateless/internal/stateful"
 )
@@ -143,13 +142,15 @@ func (p *Protocol) RunSynchronous(init Config, maxSteps int) (RunResult, error) 
 		}
 	}
 	// Packed cycle keys over the joint (labels, memories) vector, treated
-	// as one 2N-long labeling over the wider of the two spaces.
+	// as one 2N-long labeling over the wider of the two spaces. The
+	// configuration after step t is interned with ID t, so a repeat's ID
+	// is the step it first occurred at.
 	space := p.LabelSize
 	if p.MemSize > space {
 		space = p.MemSize
 	}
 	codec := enc.NewLabelCodec(core.MustLabelSpace(space), 2*p.N)
-	seen := explore.NewSeen(codec, 256)
+	seen := enc.NewTable(codec.Words(), 0)
 	joint := make(core.Labeling, 0, 2*p.N)
 	var keyBuf []uint64
 	pack := func(c Config) []uint64 {
@@ -157,7 +158,6 @@ func (p *Protocol) RunSynchronous(init Config, maxSteps int) (RunResult, error) 
 		keyBuf = codec.PackLabels(joint, keyBuf)
 		return keyBuf
 	}
-	seenStep := []int{0}
 	seen.Intern(pack(cur))
 	for t := 1; t <= maxSteps; t++ {
 		next := p.Step(cur, all)
@@ -165,11 +165,9 @@ func (p *Protocol) RunSynchronous(init Config, maxSteps int) (RunResult, error) 
 			return RunResult{Stable: true, Steps: t, Final: next}, nil
 		}
 		cur = next
-		id, fresh := seen.Intern(pack(cur))
-		if !fresh {
-			return RunResult{Steps: t, CycleLen: t - seenStep[id], Final: cur}, nil
+		if id, fresh := seen.Intern(pack(cur)); !fresh {
+			return RunResult{Steps: t, CycleLen: t - id, Final: cur}, nil
 		}
-		seenStep = append(seenStep, t)
 	}
 	return RunResult{Steps: maxSteps, Final: cur}, nil
 }

@@ -156,7 +156,7 @@ func TestBadGadgetNeverConverges(t *testing.T) {
 	}
 	// Under round robin too: with no stable state, no schedule converges.
 	res, err = sim.Run(p, make(core.Input, 4), core.UniformLabeling(p.Graph(), 0),
-		schedule.RoundRobin{N: 4}, sim.Options{MaxSteps: 10000, DetectCycles: true, CyclePeriod: 4})
+		schedule.RoundRobin{N: 4}, sim.Options{MaxSteps: 10000, DetectCycles: true})
 	if err != nil {
 		t.Fatal(err)
 	}

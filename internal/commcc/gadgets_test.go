@@ -169,7 +169,7 @@ func TestDisjointnessGadgetOscillatesWhenIntersecting(t *testing.T) {
 	}
 	period := q + 2
 	res, err := sim.Run(gd.Protocol, make(core.Input, n), gd.DisjOscillationStart(common), script,
-		sim.Options{MaxSteps: 100 * period, DetectCycles: true, CyclePeriod: period})
+		sim.Options{MaxSteps: 100 * period, DetectCycles: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,20 +167,10 @@ type Stepper struct {
 }
 
 // NewStepper returns a Stepper for p with buffers sized to its maximum
-// in/out degree.
+// degree (in+out, which bounds either side).
 func NewStepper(p *Protocol) *Stepper {
-	g := p.Graph()
-	maxIn, maxOut := 0, 0
-	for v := 0; v < g.N(); v++ {
-		node := graph.NodeID(v)
-		if d := g.InDegree(node); d > maxIn {
-			maxIn = d
-		}
-		if d := g.OutDegree(node); d > maxOut {
-			maxOut = d
-		}
-	}
-	return &Stepper{p: p, in: make([]Label, maxIn), out: make([]Label, maxOut)}
+	d := p.Graph().MaxDegree()
+	return &Stepper{p: p, in: make([]Label, d), out: make([]Label, d)}
 }
 
 // Step is Step with the Stepper's protocol and reusable buffers.
@@ -190,11 +180,10 @@ func (s *Stepper) Step(x Input, cur Config, next *Config, active []graph.NodeID)
 	copy(next.Outputs, cur.Outputs)
 	changed := false
 	for _, v := range active {
-		in := s.in[:g.InDegree(v)]
-		out := s.out[:g.OutDegree(v)]
-		y := s.p.React(v, cur.Labels, x[v], in, out)
-		next.Outputs[v] = y
-		for i, id := range g.Out(v) {
+		ids := g.Out(v)
+		out := s.out[:len(ids)]
+		next.Outputs[v] = s.p.React(v, cur.Labels, x[v], s.in, out)
+		for i, id := range ids {
 			if next.Labels[id] != out[i] {
 				next.Labels[id] = out[i]
 				changed = true
@@ -220,10 +209,10 @@ func (s *Stepper) Reactions(x Input, cur Config, labels []Label, outs []Bit) {
 	g := s.p.Graph()
 	for v := 0; v < g.N(); v++ {
 		node := graph.NodeID(v)
-		in := s.in[:g.InDegree(node)]
-		out := s.out[:g.OutDegree(node)]
-		outs[v] = s.p.React(node, cur.Labels, x[node], in, out)
-		for i, id := range g.Out(node) {
+		ids := g.Out(node)
+		out := s.out[:len(ids)]
+		outs[v] = s.p.React(node, cur.Labels, x[node], s.in, out)
+		for i, id := range ids {
 			labels[id] = out[i]
 		}
 	}
@@ -234,10 +223,10 @@ func (s *Stepper) IsStable(x Input, l Labeling) bool {
 	g := s.p.Graph()
 	for v := 0; v < g.N(); v++ {
 		node := graph.NodeID(v)
-		in := s.in[:g.InDegree(node)]
-		out := s.out[:g.OutDegree(node)]
-		s.p.React(node, l, x[v], in, out)
-		for i, id := range g.Out(node) {
+		ids := g.Out(node)
+		out := s.out[:len(ids)]
+		s.p.React(node, l, x[v], s.in, out)
+		for i, id := range ids {
 			if l[id] != out[i] {
 				return false
 			}

@@ -164,14 +164,17 @@ func (p *Protocol) LabelBits() int { return p.space.Bits() }
 // React applies node v's reaction function to the incoming labels drawn
 // from the global labeling l, writing v's new outgoing labels into out
 // (which must have length OutDegree(v)) and returning v's output bit.
-// Scratch in-label storage is written into inBuf, which must have length
-// InDegree(v); callers reuse buffers to keep stepping allocation-free.
+// The in-labels are gathered into the first InDegree(v) entries of inBuf,
+// which may be longer (a max-degree buffer); callers reuse buffers to keep
+// stepping allocation-free.
 func (p *Protocol) React(v graph.NodeID, l Labeling, input Bit, inBuf, out []Label) Bit {
-	for i, id := range p.g.In(v) {
-		inBuf[i] = l[id]
+	ids := p.g.In(v)
+	in := inBuf[:len(ids)]
+	for i, id := range ids {
+		in[i] = l[id]
 	}
 	if p.shared != nil {
-		return p.shared(inBuf, input, out)
+		return p.shared(in, input, out)
 	}
-	return p.reactions[v](inBuf, input, out)
+	return p.reactions[v](in, input, out)
 }

@@ -1,13 +1,12 @@
 // Package des is a discrete-event simulation runtime for stateless
-// protocols at scales the synchronous-rounds simulator (internal/sim) and
-// the goroutine-per-node runtime (internal/async) cannot reach. Instead of
-// touching every node every round, the runtime keeps a queue of pending
-// activation events and an O(1) dirty flag per node: a node is
-// scheduled only while it is *dirty* (some in-edge label changed since it
-// last reacted, one of its out-edges was corrupted, or it just rejoined
-// after a crash), so quiescent nodes cost nothing — a million-node ring
-// with a localized fault processes a handful of events, not a million per
-// round.
+// protocols at scales the synchronous-rounds simulator (internal/sim)
+// cannot reach. Instead of touching every node every round, the runtime
+// keeps a queue of pending activation events and an O(1) dirty flag per
+// node: a node is scheduled only while it is *dirty* (some in-edge label
+// changed since it last reacted, one of its out-edges was corrupted, or it
+// just rejoined after a crash), so quiescent nodes cost nothing — a
+// million-node ring with a localized fault processes a handful of events,
+// not a million per round.
 //
 // Virtual time is measured in integer ticks with TicksPerRound ticks per
 // synchronous round. Activation times are chosen by a Daemon (the paper's
@@ -209,9 +208,6 @@ type Config struct {
 	// create work. Used to measure fault locality (quiescent nodes must
 	// cost nothing) and to resume from known-stable states.
 	AssumeClean bool
-	// MaxBatch bounds the activation-set slice retained between batches
-	// (0 keeps whatever the largest batch needed).
-	MaxBatch int
 }
 
 // Result reports how a Run ended.
@@ -289,8 +285,7 @@ type Runtime struct {
 	writeLab  []core.Label
 	in, out   []core.Label
 
-	metrics  *obs.Registry
-	maxBatch int
+	metrics *obs.Registry
 }
 
 // New builds a runtime for protocol p on input x starting from labeling l0
@@ -315,16 +310,8 @@ func New(p *core.Protocol, x core.Input, l0 core.Labeling, daemon Daemon, cfg Co
 			return nil, fmt.Errorf("des: l0[%d] = %d outside %v", i, l, p.Space())
 		}
 	}
-	maxIn, maxOut := 0, 0
-	for v := 0; v < g.N(); v++ {
-		node := graph.NodeID(v)
-		if d := g.InDegree(node); d > maxIn {
-			maxIn = d
-		}
-		if d := g.OutDegree(node); d > maxOut {
-			maxOut = d
-		}
-	}
+	// Reaction scratch: in+out degree bounds either side.
+	maxDeg := g.MaxDegree()
 	rt := &Runtime{
 		p:         p,
 		g:         g,
@@ -334,10 +321,9 @@ func New(p *core.Protocol, x core.Input, l0 core.Labeling, daemon Daemon, cfg Co
 		pending:   make([]bool, g.N()),
 		pendingAt: make([]uint64, g.N()),
 		crashed:   make([]bool, g.N()),
-		in:        make([]core.Label, maxIn),
-		out:       make([]core.Label, maxOut),
+		in:        make([]core.Label, maxDeg),
+		out:       make([]core.Label, maxDeg),
 		metrics:   cfg.Metrics,
-		maxBatch:  cfg.MaxBatch,
 	}
 	if !cfg.AssumeClean {
 		for v := 0; v < g.N(); v++ {
@@ -368,10 +354,10 @@ func (rt *Runtime) Crashed(v graph.NodeID) bool { return rt.crashed[v] }
 // evaluation.
 func (rt *Runtime) WouldChange(v graph.NodeID) bool {
 	rt.reactions++
-	in := rt.in[:rt.g.InDegree(v)]
-	out := rt.out[:rt.g.OutDegree(v)]
-	rt.p.React(v, rt.labels, rt.x[v], in, out)
-	for i, id := range rt.g.Out(v) {
+	ids := rt.g.Out(v)
+	out := rt.out[:len(ids)]
+	rt.p.React(v, rt.labels, rt.x[v], rt.in, out)
+	for i, id := range ids {
 		if rt.labels[id] != out[i] {
 			return true
 		}
@@ -561,9 +547,6 @@ func (rt *Runtime) Run(ctx context.Context, horizonRounds uint64) (Result, error
 				batchHist[b]++
 			}
 		}
-		if rt.maxBatch > 0 && cap(rt.batch) > rt.maxBatch {
-			rt.batch = nil
-		}
 	}
 	if rt.inWheel == 0 && rt.wheel != nil {
 		bucketPool.Put(rt.wheel)
@@ -593,10 +576,10 @@ func (rt *Runtime) stepBatch() {
 	for _, v := range rt.batch {
 		rt.activations++
 		rt.reactions++
-		in := rt.in[:rt.g.InDegree(v)]
-		out := rt.out[:rt.g.OutDegree(v)]
-		rt.p.React(v, rt.labels, rt.x[v], in, out)
-		for i, id := range rt.g.Out(v) {
+		ids := rt.g.Out(v)
+		out := rt.out[:len(ids)]
+		rt.p.React(v, rt.labels, rt.x[v], rt.in, out)
+		for i, id := range ids {
 			if rt.labels[id] != out[i] {
 				rt.writeEdge = append(rt.writeEdge, id)
 				rt.writeLab = append(rt.writeLab, out[i])

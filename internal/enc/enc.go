@@ -2,10 +2,10 @@
 // engines key on: the states-graph verifier (internal/verify, through the
 // stores and symmetry quotient of internal/explore) and the
 // configuration-cycle detectors of internal/sim, internal/stateful and
-// internal/almoststateless (through explore.Seen). A state — a labeling
-// ℓ ∈ Σ^E, optionally extended with the Theorem 3.1 per-node inactivity
-// countdown and the per-node output vector — is bit-packed into ⌈bits/64⌉
-// uint64 words, and interned in an open-addressing Table whose
+// internal/almoststateless (each interning into a Table). A state — a
+// labeling ℓ ∈ Σ^E, optionally extended with the Theorem 3.1 per-node
+// inactivity countdown and the per-node output vector — is bit-packed into
+// ⌈bits/64⌉ uint64 words, and interned in an open-addressing Table whose
 // keys live in one contiguous arena. Compared to the former
 // map[string]int keying (8 bytes per edge per freshly allocated string),
 // packing does zero per-state allocations and shrinks a state to

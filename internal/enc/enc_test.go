@@ -151,6 +151,38 @@ func TestTableGrowth(t *testing.T) {
 	}
 }
 
+// TestTableSequentialIDs pins what the simulators' cycle detection relies
+// on: with hits interleaved between inserts, every fresh key gets the next
+// sequential ID (Len()-1 after the insert), and a repeated key returns its
+// first ID with fresh false.
+func TestTableSequentialIDs(t *testing.T) {
+	codec := enc.NewLabelCodec(core.BinarySpace(), 8)
+	tab := enc.NewTable(codec.Words(), 0)
+	l := make(core.Labeling, codec.M())
+	var key []uint64
+	first := map[int]int{} // labeling value → ID
+	for i := 0; i < 20; i++ {
+		v := i%2*2 + i/4%2 // 0, 2, 0, 2, 1, 3, 1, 3, 0, ...
+		l[0], l[1] = core.Label(v&1), core.Label(v>>1)
+		key = codec.PackLabels(l, key)
+		id, fresh := tab.Intern(key)
+		want, seen := first[v]
+		if fresh == seen {
+			t.Fatalf("step %d: fresh = %v for a key seen = %v", i, fresh, seen)
+		}
+		if seen && id != want {
+			t.Fatalf("step %d: repeated key got ID %d, first ID %d", i, id, want)
+		}
+		if fresh && id != tab.Len()-1 {
+			t.Fatalf("step %d: fresh ID %d is not sequential (Len %d)", i, id, tab.Len())
+		}
+		first[v] = id
+	}
+	if tab.Len() != 4 {
+		t.Fatalf("Len = %d, want 4", tab.Len())
+	}
+}
+
 // TestTableReset pins Reset's contract: the table empties, IDs restart at
 // 0, earlier keys come back fresh, and the slot array and arena are reused,
 // so refilling a reset table to its old size allocates nothing.

@@ -15,7 +15,6 @@ import (
 	"strconv"
 	"strings"
 
-	"stateless/internal/async"
 	"stateless/internal/bestresponse"
 	"stateless/internal/bp"
 	"stateless/internal/circuit"
@@ -106,7 +105,6 @@ func All() []Experiment {
 		{"E9", E9CommHardness},
 		{"E10", E10MetanodeReduction},
 		{"E11", E11BestResponse},
-		{"E12", E12AsyncRuntime},
 		{"E13", E13AlmostStateless},
 		{"E14", E14RandomizedSymmetryBreaking},
 		{"E15", E15SymmetryZoo},
@@ -144,7 +142,7 @@ func E1CliqueStabilization() (Table, error) {
 			return t, err
 		}
 		res, err := sim.Run(p, x, protocols.Example1OscillationStart(p.Graph()), script,
-			sim.Options{MaxSteps: 100 * n, DetectCycles: true, CyclePeriod: n})
+			sim.Options{MaxSteps: 100 * n, DetectCycles: true})
 		if err != nil {
 			return t, err
 		}
@@ -644,7 +642,7 @@ func E9CommHardness() (Table, error) {
 		return t, err
 	}
 	res, err := sim.Run(gd.Protocol, make(core.Input, n), gd.DisjOscillationStart(1), script,
-		sim.Options{MaxSteps: 200 * (q + 2), DetectCycles: true, CyclePeriod: q + 2})
+		sim.Options{MaxSteps: 200 * (q + 2), DetectCycles: true})
 	if err != nil {
 		return t, err
 	}
@@ -799,7 +797,7 @@ func E11BestResponse() (Table, error) {
 			return t, err
 		}
 		rrRes, err := sim.Run(p, x, core.UniformLabeling(p.Graph(), 0),
-			schedule.RoundRobin{N: n}, sim.Options{MaxSteps: 10000, DetectCycles: true, CyclePeriod: n})
+			schedule.RoundRobin{N: n}, sim.Options{MaxSteps: 10000, DetectCycles: true})
 		if err != nil {
 			return t, err
 		}
@@ -817,77 +815,6 @@ func E11BestResponse() (Table, error) {
 		t.Rows = append(t.Rows, []string{
 			c.name, itoa(len(stable)), syncRes.Status.String(), rrRes.Status.String(), verdict,
 		})
-	}
-	return t, nil
-}
-
-// E12AsyncRuntime checks model/runtime agreement: the goroutine-per-node
-// runtime and the reference simulator produce identical trajectories.
-func E12AsyncRuntime() (Table, error) {
-	t := Table{
-		ID:     "E12",
-		Title:  "Concurrent goroutine runtime vs reference simulator",
-		Header: []string{"protocol", "schedule", "steps", "agree"},
-	}
-	xor := func(x core.Input) core.Bit {
-		var v core.Bit
-		for _, b := range x {
-			v ^= b
-		}
-		return v
-	}
-	tree, err := protocols.TreeProtocol(graph.Clique(5), xor)
-	if err != nil {
-		return t, err
-	}
-	ex1, err := protocols.Example1Clique(5)
-	if err != nil {
-		return t, err
-	}
-	bad, err := bestresponse.BadGadget().Protocol()
-	if err != nil {
-		return t, err
-	}
-	cases := []struct {
-		name  string
-		p     *core.Protocol
-		x     core.Input
-		sched string
-	}{
-		{"tree-xor K5", tree, core.Input{1, 0, 1, 1, 0}, "random"},
-		{"example1 K5", ex1, make(core.Input, 5), "adversarial"},
-		{"bgp-bad", bad, make(core.Input, 4), "sync"},
-	}
-	rng := rand.New(rand.NewPCG(5, 12))
-	for _, c := range cases {
-		n := c.p.Graph().N()
-		var script [][]graph.NodeID
-		switch c.sched {
-		case "sync":
-			all := make([]graph.NodeID, n)
-			for i := range all {
-				all[i] = graph.NodeID(i)
-			}
-			script = [][]graph.NodeID{all}
-		case "adversarial":
-			script = protocols.Example1OscillationSchedule(n)
-		default:
-			for k := 0; k < 9; k++ {
-				var s []graph.NodeID
-				for v := 0; v < n; v++ {
-					if rng.IntN(2) == 0 {
-						s = append(s, graph.NodeID(v))
-					}
-				}
-				if len(s) == 0 {
-					s = []graph.NodeID{0}
-				}
-				script = append(script, s)
-			}
-		}
-		steps := 300
-		err := async.Verify(c.p, c.x, core.UniformLabeling(c.p.Graph(), 0), script, steps)
-		t.Rows = append(t.Rows, []string{c.name, c.sched, itoa(steps), btoa(err == nil)})
 	}
 	return t, nil
 }

@@ -142,15 +142,6 @@ func TestE11EquilibriumCounts(t *testing.T) {
 	}
 }
 
-func TestE12AllAgree(t *testing.T) {
-	table := runExp(t, E12AsyncRuntime)
-	for _, row := range table.Rows {
-		if row[3] != "true" {
-			t.Errorf("%s/%s: runtime diverged from reference", row[0], row[1])
-		}
-	}
-}
-
 func atoi(t *testing.T, s string) int {
 	t.Helper()
 	v := 0

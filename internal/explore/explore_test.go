@@ -320,39 +320,6 @@ func TestRunLimit(t *testing.T) {
 	}
 }
 
-func TestSeenSequentialIDs(t *testing.T) {
-	narrow := enc.NewLabelCodec(core.BinarySpace(), 8)    // 8 bits → direct
-	wide := enc.NewLabelCodec(core.MustLabelSpace(4), 40) // 80 bits → hash
-	for name, codec := range map[string]*enc.Codec{"direct": narrow, "hash": wide} {
-		s := NewSeen(codec, 16)
-		if name == "direct" && s.direct == nil {
-			t.Fatalf("%s: expected direct-indexed backing", name)
-		}
-		if name == "hash" && s.tab == nil {
-			t.Fatalf("%s: expected table backing", name)
-		}
-		var key []uint64
-		l := make(core.Labeling, codec.M())
-		ids := map[int]bool{}
-		for i := 0; i < 20; i++ {
-			l[0] = core.Label(i % 2)
-			l[1] = core.Label((i / 2) % 2)
-			key = codec.PackLabels(l, key)
-			id, fresh := s.Intern(key)
-			if fresh != !ids[id] {
-				t.Fatalf("%s: step %d: fresh=%v but id %d seen=%v", name, i, fresh, id, ids[id])
-			}
-			if fresh && id != s.Len()-1 {
-				t.Fatalf("%s: fresh id %d is not sequential (len %d)", name, id, s.Len())
-			}
-			ids[id] = true
-		}
-		if s.Len() != 4 {
-			t.Fatalf("%s: Len = %d, want 4", name, s.Len())
-		}
-	}
-}
-
 func TestLabelingsMatchesSequential(t *testing.T) {
 	space := core.MustLabelSpace(3)
 	const m = 8 // 6561 labelings → two chunks, exercising the odometer seek

@@ -1,7 +1,6 @@
-// Package explore is the shared state-space exploration engine behind
-// internal/verify's states-graph search and the simulators' cycle
-// detection. It provides pluggable visited-state stores over the packed
-// encoding of internal/enc:
+// Package explore is the state-space exploration engine behind
+// internal/verify's states-graph search. It provides pluggable
+// visited-state stores over the packed encoding of internal/enc:
 //
 //   - a dense direct-indexed store for narrow states (≤ DenseMaxBits packed
 //     bits): the packed value *is* the state ID and the visited set is an
@@ -14,8 +13,8 @@
 //
 // On top of the stores sit a bounded-worker BFS driver (Run), a symmetry
 // quotient that canonicalizes states modulo the graph's order-preserving
-// automorphisms (Symmetry/Canon), a sequential interner for cycle detection
-// (Seen), and a chunked parallel enumerator of Σ^m (Labelings).
+// automorphisms (Symmetry/Canon), and a chunked parallel enumerator of Σ^m
+// (Labelings).
 package explore
 
 import (

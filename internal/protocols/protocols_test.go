@@ -39,7 +39,7 @@ func TestExample1Oscillates(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := sim.Run(p, make(core.Input, n), Example1OscillationStart(g), script,
-			sim.Options{MaxSteps: 50 * n, DetectCycles: true, CyclePeriod: n})
+			sim.Options{MaxSteps: 50 * n, DetectCycles: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,13 +23,25 @@ type Schedule interface {
 	Activated(t int, dst []graph.NodeID) []graph.NodeID
 }
 
+// Periodic is a deterministic schedule whose activation set at step t
+// depends only on t mod Period(). Under a periodic schedule a labeling
+// that recurs at the same phase recurs forever, so configuration-cycle
+// detection (internal/sim) is sound exactly for these schedules.
+type Periodic interface {
+	Schedule
+	Period() int
+}
+
 // Synchronous is the 1-fair schedule: every node activates at every step.
 // This is the setting of Part II of the paper (computational power).
 type Synchronous struct {
 	N int
 }
 
-var _ Schedule = Synchronous{}
+var _ Periodic = Synchronous{}
+
+// Period implements Periodic: every step is the same.
+func (s Synchronous) Period() int { return 1 }
 
 // Activated implements Schedule.
 func (s Synchronous) Activated(_ int, dst []graph.NodeID) []graph.NodeID {
@@ -45,7 +57,10 @@ type RoundRobin struct {
 	N int
 }
 
-var _ Schedule = RoundRobin{}
+var _ Periodic = RoundRobin{}
+
+// Period implements Periodic: one step per node.
+func (s RoundRobin) Period() int { return s.N }
 
 // Activated implements Schedule.
 func (s RoundRobin) Activated(t int, dst []graph.NodeID) []graph.NodeID {
@@ -60,7 +75,10 @@ type Scripted struct {
 	Steps [][]graph.NodeID
 }
 
-var _ Schedule = (*Scripted)(nil)
+var _ Periodic = (*Scripted)(nil)
+
+// Period implements Periodic: the script length.
+func (s *Scripted) Period() int { return len(s.Steps) }
 
 // NewScripted builds a scripted schedule, validating nonemptiness.
 func NewScripted(steps [][]graph.NodeID) (*Scripted, error) {

@@ -243,3 +243,25 @@ func TestAuditorViolation(t *testing.T) {
 		t.Error("node 1 idle for 2 steps must violate 2-fairness")
 	}
 }
+
+// Period is what cycle detection folds the phase by: one step for the
+// synchronous schedule, one per node for round robin, the script length
+// for a script.
+func TestPeriods(t *testing.T) {
+	script, err := NewScripted([][]graph.NodeID{{0}, {1}, {0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		s    Periodic
+		want int
+	}{
+		{Synchronous{N: 5}, 1},
+		{RoundRobin{N: 5}, 5},
+		{script, 3},
+	} {
+		if got := tc.s.Period(); got != tc.want {
+			t.Errorf("%T: Period() = %d, want %d", tc.s, got, tc.want)
+		}
+	}
+}

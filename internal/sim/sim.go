@@ -20,7 +20,6 @@ import (
 
 	"stateless/internal/core"
 	"stateless/internal/enc"
-	"stateless/internal/explore"
 	"stateless/internal/graph"
 	"stateless/internal/obs"
 	"stateless/internal/par"
@@ -72,13 +71,11 @@ type Options struct {
 	// (parity with explore.Run and des.Runtime.Run).
 	Context context.Context
 	// DetectCycles enables configuration-cycle detection by hashing
-	// labelings. Sound only when the schedule is deterministic and
-	// position-periodic (Synchronous, RoundRobin, Scripted); the runner
-	// folds the schedule phase into the cycle key.
+	// labelings. It is sound only under a schedule.Periodic schedule
+	// (Synchronous, RoundRobin, Scripted): the runner keys labelings at
+	// phase 0 of the schedule's period. Run rejects any other schedule
+	// with ErrAperiodic.
 	DetectCycles bool
-	// CyclePeriod is the schedule period used to fold phase into the cycle
-	// key; 0 means 1 (synchronous).
-	CyclePeriod int
 	// Trace, when non-nil, receives each configuration after each step.
 	Trace func(t int, cfg core.Config)
 	// Metrics, when non-nil, receives the run's outcome section (see
@@ -110,6 +107,10 @@ type Result struct {
 
 // ErrBadInput is returned when the input vector length mismatches the graph.
 var ErrBadInput = errors.New("sim: input length must equal node count")
+
+// ErrAperiodic is returned when DetectCycles is set under a schedule that
+// is not schedule.Periodic: a recurring labeling proves no cycle there.
+var ErrAperiodic = errors.New("sim: cycle detection needs a periodic schedule")
 
 // ErrCanceled is returned when Options.Context is canceled mid-run; it
 // wraps the context error, so errors.Is works against both.
@@ -179,27 +180,28 @@ func run(p *core.Protocol, x core.Input, l0 core.Labeling, sched schedule.Schedu
 	if maxSteps == 0 {
 		maxSteps = DefaultMaxSteps
 	}
-	period := opts.CyclePeriod
-	if period <= 0 {
-		period = 1
+	// Cycle detection interns the packed labeling at phase 0 of every
+	// period: no per-step allocation, ⌈log₂|Σ|⌉ bits per edge, and a table
+	// that grows with the run. The k-th fresh key (ID k) was interned at
+	// step (k+1)·period, so IDs double as step stamps.
+	var (
+		period int
+		codec  *enc.Codec
+		seen   *enc.Table
+		keyBuf []uint64
+	)
+	if opts.DetectCycles {
+		ps, ok := sched.(schedule.Periodic)
+		if !ok {
+			return Result{}, fmt.Errorf("%w: %T", ErrAperiodic, sched)
+		}
+		period = ps.Period()
+		codec = enc.NewLabelCodec(p.Space(), g.M())
+		seen = enc.NewTable(codec.Words(), 0)
 	}
 
 	cur := core.NewConfig(g, l0)
 	next := cur.Clone()
-	// Cycle detection interns packed labelings: no per-step allocation and
-	// ⌈log₂|Σ|⌉ bits per edge instead of an 8-bytes-per-edge string key.
-	// explore.NewSeen picks a direct-indexed table for narrow labelings
-	// (one load+store per step, no hashing) and an intern table otherwise.
-	var (
-		codec    *enc.Codec
-		seen     *explore.Seen
-		seenStep []int
-		keyBuf   []uint64
-	)
-	if opts.DetectCycles {
-		codec = enc.NewLabelCodec(p.Space(), g.M())
-		seen = explore.NewSeen(codec, 256)
-	}
 	active := make([]graph.NodeID, 0, g.N())
 	lastLabelChange := 0
 	stepper := core.NewStepper(p)
@@ -238,11 +240,9 @@ func run(p *core.Protocol, x core.Input, l0 core.Labeling, sched schedule.Schedu
 		}
 		if opts.DetectCycles && t%period == 0 {
 			keyBuf = codec.PackLabels(cur.Labels, keyBuf)
-			id, fresh := seen.Intern(keyBuf)
-			if !fresh {
-				return classifyCycle(p, x, cur, sched, t, seenStep[id], period)
+			if id, fresh := seen.Intern(keyBuf); !fresh {
+				return classifyCycle(p, x, cur, sched, t, (id+1)*period)
 			}
-			seenStep = append(seenStep, t)
 		}
 	}
 	return Result{
@@ -256,7 +256,7 @@ func run(p *core.Protocol, x core.Input, l0 core.Labeling, sched schedule.Schedu
 
 // classifyCycle replays the detected cycle once to decide whether outputs
 // are constant on it (OutputStable) or not (Oscillating).
-func classifyCycle(p *core.Protocol, x core.Input, cur core.Config, sched schedule.Schedule, t, prev, period int) (Result, error) {
+func classifyCycle(p *core.Protocol, x core.Input, cur core.Config, sched schedule.Schedule, t, prev int) (Result, error) {
 	g := p.Graph()
 	cycleLen := t - prev
 	ref := append([]core.Bit(nil), cur.Outputs...)
@@ -291,9 +291,7 @@ func classifyCycle(p *core.Protocol, x core.Input, cur core.Config, sched schedu
 }
 
 // replaySchedule shifts a periodic schedule's clock so the cycle replay
-// continues from step t. Only used with deterministic periodic schedules
-// whose Activated is a pure function of t mod period: Synchronous,
-// RoundRobin, Scripted.
+// continues from step t.
 type replaySchedule struct {
 	inner  schedule.Schedule
 	offset int

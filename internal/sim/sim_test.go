@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math/rand/v2"
 	"testing"
 
@@ -238,20 +239,36 @@ func TestTraceCallback(t *testing.T) {
 }
 
 func TestCycleDetectionWithScriptedPeriod(t *testing.T) {
-	// Scripted schedule of period 2 on the NOT-ring; with CyclePeriod=2 the
-	// runner must classify the run as oscillating rather than hang.
+	// Scripted schedule of period 2 on the NOT-ring; with the period read
+	// from the script the runner must classify the run as oscillating
+	// rather than hang.
 	p := notRing(4)
 	s, err := schedule.NewScripted([][]graph.NodeID{{0, 1}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := Run(p, make(core.Input, 4), core.Labeling{0, 0, 1, 0}, s,
-		Options{MaxSteps: 10000, DetectCycles: true, CyclePeriod: 2})
+		Options{MaxSteps: 10000, DetectCycles: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != Oscillating && res.Status != LabelStable {
 		t.Fatalf("status = %v, want a verdict", res.Status)
+	}
+}
+
+// A random r-fair schedule has no period: a labeling that recurs there
+// proves no cycle, so asking for cycle detection is an error, not a run.
+func TestDetectCyclesRejectsAperiodicSchedule(t *testing.T) {
+	p := orClique(3)
+	sched, err := schedule.NewRandomRFair(3, 2, 0.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(p, make(core.Input, 3), core.UniformLabeling(p.Graph(), 0), sched,
+		Options{MaxSteps: 100, DetectCycles: true})
+	if !errors.Is(err, ErrAperiodic) {
+		t.Fatalf("err = %v, want ErrAperiodic", err)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 
 	"stateless/internal/core"
 	"stateless/internal/enc"
-	"stateless/internal/explore"
 	"stateless/internal/graph"
 	"stateless/internal/obs"
 )
@@ -113,11 +112,11 @@ func (p *Protocol) RunSynchronous(init []core.Label, maxSteps int) (RunResult, e
 			return RunResult{}, fmt.Errorf("stateful: init[%d] = %d outside Σ of size %d", i, l, p.Size)
 		}
 	}
+	// The configuration after step t is interned with ID t, so a repeat's
+	// ID is the step it first occurred at.
 	codec := enc.NewLabelCodec(core.MustLabelSpace(p.Size), p.N)
-	seen := explore.NewSeen(codec, 256)
-	var keyBuf []uint64
-	seenStep := []int{0}
-	keyBuf = codec.PackLabels(cur, keyBuf)
+	seen := enc.NewTable(codec.Words(), 0)
+	keyBuf := codec.PackLabels(cur, nil)
 	seen.Intern(keyBuf)
 	for t := 1; t <= maxSteps; t++ {
 		p.Step(cur, next, all)
@@ -126,11 +125,9 @@ func (p *Protocol) RunSynchronous(init []core.Label, maxSteps int) (RunResult, e
 			return RunResult{Stable: true, Steps: t, Final: append([]core.Label(nil), cur...)}, nil
 		}
 		keyBuf = codec.PackLabels(cur, keyBuf)
-		id, fresh := seen.Intern(keyBuf)
-		if !fresh {
-			return RunResult{Steps: t, CycleLen: t - seenStep[id], Final: append([]core.Label(nil), cur...)}, nil
+		if id, fresh := seen.Intern(keyBuf); !fresh {
+			return RunResult{Steps: t, CycleLen: t - id, Final: append([]core.Label(nil), cur...)}, nil
 		}
-		seenStep = append(seenStep, t)
 	}
 	return RunResult{Steps: maxSteps, Final: append([]core.Label(nil), cur...)}, nil
 }

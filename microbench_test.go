@@ -2,6 +2,7 @@ package stateless_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"stateless/internal/explore"
 	"stateless/internal/graph"
 	"stateless/internal/protocols"
+	"stateless/internal/sim"
 )
 
 // Per-stage micro-benchmarks of the exploration hot path — step → pack →
@@ -341,4 +343,42 @@ func BenchmarkGraphNew(b *testing.B) {
 		}
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "succ/s")
 	})
+}
+
+// BenchmarkSimSync measures single-run step throughput of the reference
+// simulator: sim.RunSynchronous (synchronous schedule, cycle detection on)
+// on SaturatingRing(n, 4) from seeded random labelings, until each run
+// label-stabilizes. At n = 8 a run is a few microseconds, so fixed per-run
+// costs dominate: a cycle-detection table sized by the labeling width
+// (256 KiB) instead of the run length made this row about 15x slower. At
+// n = 4096 the step loop dominates. succ/s is synchronous steps per second.
+func BenchmarkSimSync(b *testing.B) {
+	for _, n := range []int{8, 4096} {
+		p, err := protocols.SaturatingRing(n, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := p.Graph()
+		x := make(core.Input, g.N())
+		rng := rand.New(rand.NewPCG(1, 1))
+		l0s := make([]core.Labeling, 16)
+		for i := range l0s {
+			l0s[i] = core.RandomLabeling(g, p.Space(), rng)
+		}
+		b.Run(fmt.Sprintf("ring-%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			steps := 0
+			for i := 0; i < b.N; i++ {
+				res, err := sim.RunSynchronous(p, x, l0s[i%len(l0s)], 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Status != sim.LabelStable {
+					b.Fatalf("run %d: %v, want label-stable", i, res.Status)
+				}
+				steps += res.Steps
+			}
+			b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "succ/s")
+		})
+	}
 }

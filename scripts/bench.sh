@@ -27,7 +27,10 @@
 #                  hash store's lock-free hit path; BenchmarkDES: DES
 #                  activations/s, which guards the timing-wheel event
 #                  queue; BenchmarkGraphNew: nodes/s of graph.New on a
-#                  2^18-node ring, which guards the flat CSR build — see
+#                  2^18-node ring, which guards the flat CSR build;
+#                  BenchmarkSimSync: synchronous steps/s of
+#                  sim.RunSynchronous on an 8- and a 4096-node ring, which
+#                  guards single-run step throughput — see
 #                  microbench_test.go). Each row is sized by
 #                  time, not iterations (MICROBENCHTIME per run), run
 #                  three times, and the median run is recorded.
@@ -96,10 +99,10 @@ MACRO=$(go test -run '^$' -bench BenchmarkVerifyStatesGraph \
 # name <TAB> succ/s per micro-benchmark (per-stage hot-path throughput):
 # the median of three time-sized runs, rows in benchmark order.
 MICRO=$(go test -run '^$' \
-  -bench '^(BenchmarkStep|BenchmarkPack|BenchmarkCanonicalize|BenchmarkIntern|BenchmarkDES|BenchmarkGraphNew)$' \
+  -bench '^(BenchmarkStep|BenchmarkPack|BenchmarkCanonicalize|BenchmarkIntern|BenchmarkDES|BenchmarkGraphNew|BenchmarkSimSync)$' \
   -benchtime "$MICROBENCHTIME" -count 3 . |
   awk '
-    /^Benchmark(Step|Pack|Canonicalize|Intern|DES|GraphNew)\// {
+    /^Benchmark(Step|Pack|Canonicalize|Intern|DES|GraphNew|SimSync)\// {
       name = $1
       sub(/^Benchmark/, "", name)
       sub(/-[0-9]+$/, "", name)

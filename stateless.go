@@ -21,7 +21,7 @@
 //   - lower-bound tooling (fooling sets, the Theorem 6.2 cut bound, the
 //     Theorem 5.10 counting bound);
 //   - best-response applications (BGP / Stable Paths, contagion) and a
-//     goroutine-per-node concurrent runtime.
+//     discrete-event runtime with fault injection for million-node runs.
 //
 // This package is a façade re-exporting the most commonly used types and
 // constructors; the full API lives in the internal packages and is
