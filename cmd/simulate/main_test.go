@@ -143,6 +143,7 @@ func TestDESRejectsBadWorkloadFlags(t *testing.T) {
 		{"-daemon", "lazy"},
 		{"-rejoin", "perfect"},
 		{"-burst-at", "1,x"},
+		{"-horizon", "1152921504606846976"}, // 2^60 rounds: past the DES tick range
 	} {
 		var out bytes.Buffer
 		if err := run(append(append([]string{}, base...), extra...), &out); err == nil {

@@ -1,12 +1,13 @@
 // Package des is a discrete-event simulation runtime for stateless
 // protocols at scales the synchronous-rounds simulator (internal/sim)
 // cannot reach. Instead of touching every node every round, the runtime
-// keeps a queue of pending activation events and an O(1) dirty flag per
-// node: a node is scheduled only while it is *dirty* (some in-edge label
-// changed since it last reacted, one of its out-edges was corrupted, or it
-// just rejoined after a crash), so quiescent nodes cost nothing — a
-// million-node ring with a localized fault processes a handful of events,
-// not a million per round.
+// keeps a queue of pending activation events and one state word per node
+// (pending and crashed flags, and the tick it became dirty): a node is
+// scheduled only while it is *dirty* (some in-edge label changed since it
+// last reacted, one of its out-edges was corrupted, or it just rejoined
+// after a crash), so quiescent nodes cost nothing — a million-node ring
+// with a localized fault processes a handful of events, not a million per
+// round.
 //
 // Virtual time is measured in integer ticks with TicksPerRound ticks per
 // synchronous round. Activation times are chosen by a Daemon (the paper's
@@ -23,11 +24,15 @@
 // and a bitmap to find the next non-empty tick, so a push or pop costs
 // O(1); the rare event scheduled wheelSpan or more ticks ahead waits in a
 // binary (tick, seq) heap and moves into its bucket once the window reaches
-// it. On a 2^18-node ring with up to 262k events pending, an activation
-// costs about 100 ns (perfbench des-faults, traced, seed 1, 2-core box);
-// one binary heap of every event made it about 2.2x slower, and adjacency
-// kept as one small slice per node instead of graph.Graph's flat arrays
-// about 1.25x slower.
+// it. A drained bucket doubles as the tick's activation batch, and the
+// batch's buffered writes live in scratch sized once by the edge count, so
+// a run grows no buffer but the wheel's buckets. On a 2^18-node ring with
+// up to 262k events pending, an activation costs about 34 ns (perfbench
+// des-faults, traced, seed 1, 2-core box); one binary heap of every event
+// made it about 2.2x slower, adjacency kept as one small slice per node
+// instead of graph.Graph's flat arrays about 1.25x slower, and three
+// per-node arrays with a batch copied out of its bucket into scratch grown
+// by append about 1.15x slower.
 //
 // Fault injection (label corruption, node crash/rejoin) is scheduled on
 // the same queue via ScheduleFault; the composable scenario layer on top
@@ -243,6 +248,21 @@ type Result struct {
 // Rounds converts a tick count to (fractional) rounds.
 func Rounds(ticks uint64) float64 { return float64(ticks) / TicksPerRound }
 
+// The per-node state word: node[v] = dirtyTick<<stateShift | flags, where
+// pendingBit is set while v has an activation queued, crashedBit while v is
+// crashed, and dirtyTick is the tick at which v last became dirty (its
+// wait is measured from there when the activation pops).
+const (
+	pendingBit = 1 << 0
+	crashedBit = 1 << 1
+	stateShift = 2
+)
+
+// tickLimit bounds virtual time: a tick must fit in a state word above its
+// two flag bits. now never passes a Run's horizon, so Run refuses any
+// horizon of tickLimit ticks or more.
+const tickLimit = 1 << (64 - stateShift)
+
 // Runtime is a single-threaded discrete-event executor for one protocol
 // instance. It is not safe for concurrent use; run independent trials on
 // separate Runtimes (internal/workload does).
@@ -252,11 +272,10 @@ type Runtime struct {
 	x      core.Input
 	daemon Daemon
 
-	labels  core.Labeling
-	pending []bool
-	// pendingAt[v] is the tick v became dirty (valid while pending[v]).
-	pendingAt []uint64
-	crashed   []bool
+	labels core.Labeling
+	// node[v] is v's state word (pendingBit, crashedBit, dirty tick): one
+	// load tells MarkDirty and the drain loop everything they ask of v.
+	node []uint64
 
 	// The event queue: a timing wheel of one bucket per tick over
 	// [now, now+wheelSpan), with an occupancy bitmap, in front of a
@@ -279,8 +298,9 @@ type Runtime struct {
 	maxHeap     int
 	maxWait     uint64
 
-	// batch scratch, reused across ticks.
-	batch     []graph.NodeID
+	// Buffered writes of one activation batch: each edge has one writer
+	// and a batch holds distinct nodes, so m entries always suffice and
+	// both are sized once, in New. in and out are one reaction's scratch.
 	writeEdge []graph.EdgeID
 	writeLab  []core.Label
 	in, out   []core.Label
@@ -318,9 +338,9 @@ func New(p *core.Protocol, x core.Input, l0 core.Labeling, daemon Daemon, cfg Co
 		x:         x,
 		daemon:    daemon,
 		labels:    l0.Clone(),
-		pending:   make([]bool, g.N()),
-		pendingAt: make([]uint64, g.N()),
-		crashed:   make([]bool, g.N()),
+		node:      make([]uint64, g.N()),
+		writeEdge: make([]graph.EdgeID, g.M()),
+		writeLab:  make([]core.Label, g.M()),
 		in:        make([]core.Label, maxDeg),
 		out:       make([]core.Label, maxDeg),
 		metrics:   cfg.Metrics,
@@ -347,7 +367,7 @@ func (rt *Runtime) Graph() *graph.Graph { return rt.g }
 func (rt *Runtime) Protocol() *core.Protocol { return rt.p }
 
 // Crashed reports whether v is currently crashed.
-func (rt *Runtime) Crashed(v graph.NodeID) bool { return rt.crashed[v] }
+func (rt *Runtime) Crashed(v graph.NodeID) bool { return rt.node[v]&crashedBit != 0 }
 
 // WouldChange reports whether activating v now would change some out-edge
 // label — the probe AdversarialGreedy steers by. Costs one reaction
@@ -369,11 +389,10 @@ func (rt *Runtime) WouldChange(v graph.NodeID) bool {
 // crashed or already pending — the O(1) dirty-node tracking: each node has
 // at most one queued event, and clean (quiescent) nodes have none.
 func (rt *Runtime) MarkDirty(v graph.NodeID) {
-	if rt.pending[v] || rt.crashed[v] {
+	if rt.node[v]&(pendingBit|crashedBit) != 0 {
 		return
 	}
-	rt.pending[v] = true
-	rt.pendingAt[v] = rt.now
+	rt.node[v] = rt.now<<stateShift | pendingBit
 	d := rt.daemon.Delay(rt, v)
 	if d == 0 {
 		d = 1
@@ -431,7 +450,7 @@ func (rt *Runtime) CorruptNode(v graph.NodeID, rng *rand.Rand) {
 // current (stale) values until Rejoin.
 func (rt *Runtime) Crash(v graph.NodeID) {
 	rt.noteFault()
-	rt.crashed[v] = true
+	rt.node[v] |= crashedBit
 }
 
 // RejoinMode selects the adversarially chosen state a node rejoins with.
@@ -449,10 +468,10 @@ const (
 // Rejoin brings a crashed v back with the given out-label state, marking v
 // and affected readers dirty. No-op if v is not crashed.
 func (rt *Runtime) Rejoin(v graph.NodeID, mode RejoinMode, rng *rand.Rand) {
-	if !rt.crashed[v] {
+	if rt.node[v]&crashedBit == 0 {
 		return
 	}
-	rt.crashed[v] = false
+	rt.node[v] &^= crashedBit
 	rt.noteFault()
 	size := rt.p.Space().Size()
 	for _, id := range rt.g.Out(v) {
@@ -474,11 +493,15 @@ func (rt *Runtime) noteFault() {
 
 // Run processes events until the queue drains (stabilized), the next event
 // lies beyond horizonRounds rounds, or ctx is canceled. A zero horizon
-// means 1 << 20 rounds. Returns ErrCanceled (wrapping ctx.Err()) on
-// cancellation.
+// means 1 << 20 rounds; a horizon of 2^62 ticks (2^52 rounds) or more is
+// an error. Returns ErrCanceled (wrapping ctx.Err()) on cancellation.
 func (rt *Runtime) Run(ctx context.Context, horizonRounds uint64) (Result, error) {
 	if horizonRounds == 0 {
 		horizonRounds = 1 << 20
+	}
+	if horizonRounds >= tickLimit/TicksPerRound {
+		return Result{}, fmt.Errorf("des: horizon of %d rounds is past the limit of %d rounds",
+			horizonRounds, tickLimit/TicksPerRound-1)
 	}
 	horizon := horizonRounds * TicksPerRound
 	var batchHist []int64 // log2-bucketed batch sizes for the metrics sink
@@ -508,10 +531,13 @@ func (rt *Runtime) Run(ctx context.Context, horizonRounds uint64) (Result, error
 		// activations form one simultaneous set against the pre-step state.
 		// Nothing pushed meanwhile lands in this bucket (every push is at
 		// ≥ now+1, and now+wheelSpan goes to the overflow heap), so the
-		// range below sees the whole tick and only it.
+		// range below sees the whole tick and only it. That also lets the
+		// activations be compacted in place over the bucket's own entries
+		// (batch never outruns the range), and the bucket is the batch
+		// stepBatch applies; it is reset only after that.
 		i := t & wheelMask
 		bucket := rt.wheel[i]
-		rt.batch = rt.batch[:0]
+		batch := bucket[:0]
 		for _, e := range bucket {
 			// The event leaves the pending count at its turn, as a heap pop
 			// would, so MaxHeap also counts what a fault pushes mid-tick.
@@ -522,23 +548,21 @@ func (rt *Runtime) Run(ctx context.Context, horizonRounds uint64) (Result, error
 				fn(rt)
 				continue
 			}
-			v := graph.NodeID(e)
-			rt.pending[v] = false
-			if rt.crashed[v] {
+			s := rt.node[e] &^ pendingBit
+			rt.node[e] = s
+			if s&crashedBit != 0 {
 				continue
 			}
-			if w := t - rt.pendingAt[v]; w > rt.maxWait {
+			if w := t - s>>stateShift; w > rt.maxWait {
 				rt.maxWait = w
 			}
-			rt.batch = append(rt.batch, v)
+			batch = append(batch, e)
 		}
-		rt.wheel[i] = bucket[:0]
-		rt.occupied[i/64] &^= 1 << (i % 64)
-		if len(rt.batch) > 0 {
-			rt.stepBatch()
+		if len(batch) > 0 {
+			rt.stepBatch(batch)
 			if rt.metrics != nil {
 				b := 0
-				for 1<<b < len(rt.batch) {
+				for 1<<b < len(batch) {
 					b++
 				}
 				for len(batchHist) <= b {
@@ -547,6 +571,8 @@ func (rt *Runtime) Run(ctx context.Context, horizonRounds uint64) (Result, error
 				batchHist[b]++
 			}
 		}
+		rt.wheel[i] = bucket[:0]
+		rt.occupied[i/64] &^= 1 << (i % 64)
 	}
 	if rt.inWheel == 0 && rt.wheel != nil {
 		bucketPool.Put(rt.wheel)
@@ -567,13 +593,14 @@ func (rt *Runtime) Run(ctx context.Context, horizonRounds uint64) (Result, error
 	return res, nil
 }
 
-// stepBatch applies one simultaneous activation set: all reactions read
-// the pre-step labeling (writes are buffered), then writes land and dirty
-// the affected readers. Cost is O(Σ degree(batch)) — independent of n.
-func (rt *Runtime) stepBatch() {
-	rt.writeEdge = rt.writeEdge[:0]
-	rt.writeLab = rt.writeLab[:0]
-	for _, v := range rt.batch {
+// stepBatch applies one simultaneous activation set of distinct nodes: all
+// reactions read the pre-step labeling (writes are buffered), then writes
+// land and dirty the affected readers. Cost is O(Σ degree(batch)) —
+// independent of n.
+func (rt *Runtime) stepBatch(batch []int32) {
+	writes := 0
+	for _, e := range batch {
+		v := graph.NodeID(e)
 		rt.activations++
 		rt.reactions++
 		ids := rt.g.Out(v)
@@ -581,12 +608,13 @@ func (rt *Runtime) stepBatch() {
 		rt.p.React(v, rt.labels, rt.x[v], rt.in, out)
 		for i, id := range ids {
 			if rt.labels[id] != out[i] {
-				rt.writeEdge = append(rt.writeEdge, id)
-				rt.writeLab = append(rt.writeLab, out[i])
+				rt.writeEdge[writes] = id
+				rt.writeLab[writes] = out[i]
+				writes++
 			}
 		}
 	}
-	for i, id := range rt.writeEdge {
+	for i, id := range rt.writeEdge[:writes] {
 		// Writes from distinct nodes hit distinct edges (each edge has one
 		// writer), so buffered writes never conflict.
 		if rt.labels[id] != rt.writeLab[i] {

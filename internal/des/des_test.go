@@ -3,6 +3,7 @@ package des
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -444,5 +445,126 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(p, make(core.Input, 4), good, nil, Config{}); err == nil {
 		t.Error("nil daemon accepted")
+	}
+}
+
+// delayFunc is a Daemon given by a function of (now, v).
+type delayFunc func(now uint64, v graph.NodeID) uint64
+
+func (f delayFunc) Delay(rt *Runtime, v graph.NodeID) uint64 { return f(rt.Now(), v) }
+
+// The crash/pending interplay, scripted on an 8-node saturating ring (Σ of
+// size 4) that logs every activation as "tick:node". From the all-zero
+// labeling every node starts dirty at tick 0 with its event due at tick 10,
+// except node 5 (tick 25) and node 2 (tick 40). The faults:
+//   - tick 3: Crash(5), while 5's event is pending;
+//   - tick 5: Crash(2), while 2's event is pending: it is dropped at tick
+//     40 and its 40-tick wait is not counted;
+//   - tick 7: Rejoin(5), while 5's event is still pending: the event fires
+//     at tick 25 and counts the wait from tick 0;
+//   - tick 15: schedules Crash(1) at tick 20, behind the events that tick
+//     10's activations queued there, so 1 still activates at tick 20;
+//   - tick 20, scheduled before Run and so ahead of every activation in
+//     that tick's bucket: Crash(4), which drops 4's event later in the same
+//     bucket, then Crash(7) and Rejoin(7), which leave 7's event to fire;
+//   - tick 30: Crash(3) and Rejoin(3) in one tick, with no event pending.
+//
+// The expected values were recorded from the runtime that kept separate
+// pending, pendingAt and crashed arrays, before it moved to one state word
+// per node; they pin that the move changed nothing observable.
+func TestCrashPendingInterplay(t *testing.T) {
+	const n = 8
+	const top = 3
+	g := graph.Ring(n)
+	var rt *Runtime
+	var log []string
+	reactions := make([]core.Reaction, n)
+	for v := range reactions {
+		reactions[v] = func(in []core.Label, _ core.Bit, out []core.Label) core.Bit {
+			log = append(log, fmt.Sprintf("%d:%d", rt.Now(), v))
+			out[0] = min(in[0]+1, top)
+			return 0
+		}
+	}
+	p, err := core.NewProtocol(g, core.MustLabelSpace(top+1), reactions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	daemon := delayFunc(func(now uint64, v graph.NodeID) uint64 {
+		if now == 0 && v == 5 {
+			return 25
+		}
+		if now == 0 && v == 2 {
+			return 40
+		}
+		return 10
+	})
+	rt, err = New(p, make(core.Input, n), make(core.Labeling, g.M()), daemon, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(9, 9))
+	rt.ScheduleFault(3, func(rt *Runtime) { rt.Crash(5) })
+	rt.ScheduleFault(5, func(rt *Runtime) { rt.Crash(2) })
+	rt.ScheduleFault(7, func(rt *Runtime) { rt.Rejoin(5, RejoinZero, rng) })
+	rt.ScheduleFault(15, func(rt *Runtime) {
+		rt.ScheduleFault(20, func(rt *Runtime) { rt.Crash(1) })
+	})
+	rt.ScheduleFault(20, func(rt *Runtime) { rt.Crash(4) })
+	rt.ScheduleFault(20, func(rt *Runtime) { rt.Crash(7) })
+	rt.ScheduleFault(20, func(rt *Runtime) { rt.Rejoin(7, RejoinStale, rng) })
+	rt.ScheduleFault(30, func(rt *Runtime) { rt.Crash(3) })
+	rt.ScheduleFault(30, func(rt *Runtime) { rt.Rejoin(3, RejoinResample, rng) })
+	res, err := rt.Run(context.Background(), 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var crashed []int
+	for v := 0; v < n; v++ {
+		if rt.Crashed(graph.NodeID(v)) {
+			crashed = append(crashed, v)
+		}
+	}
+	got := fmt.Sprintf("stabilized=%v activations=%d faults=%d maxwait=%d end=%d crashed=%v labels=%v\nlog=%v",
+		res.Stabilized, res.Activations, res.Faults, res.MaxWaitTicks, res.End, crashed, rt.Labels(), log)
+	const want = "stabilized=true activations=15 faults=9 maxwait=25 end=55 crashed=[1 2 4] labels=[3 2 0 1 1 2 3 3]\n" +
+		"log=[10:0 10:1 10:3 10:4 10:6 10:7 20:1 20:7 20:0 25:5 30:0 35:6 40:3 45:7 55:0]"
+	if got != want {
+		t.Fatalf("got\n%s\nwant\n%s", got, want)
+	}
+}
+
+// A horizon of 2^62 ticks (2^52 rounds) or more is refused: a tick must fit
+// in a node's state word above its two flag bits, and the tick count
+// horizonRounds·TicksPerRound would wrap at 2^54 rounds (2^60 rounds once
+// read as a 64-tick horizon, so a run stopped at its first event as "not
+// stabilized"). The largest allowed horizon runs as usual.
+func TestRunRejectsHorizonPastTickRange(t *testing.T) {
+	p, err := core.NewUniformProtocol(graph.Ring(4), core.BinarySpace(),
+		func(_ []core.Label, _ core.Bit, out []core.Label) core.Bit { out[0] = 0; return 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rounds := range []uint64{1 << 52, 1<<52 + 1, 1 << 54, 1 << 60, 1<<64 - 1} {
+		rt, err := New(p, make(core.Input, 4), make(core.Labeling, 4), Synchronous{}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := rt.Run(context.Background(), rounds); err == nil {
+			t.Errorf("horizon %d rounds: no error (Stabilized %v, End %d)", rounds, res.Stabilized, res.End)
+		}
+	}
+	rt, err := New(p, make(core.Input, 4), make(core.Labeling, 4), Synchronous{}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.ScheduleFault(100, func(rt *Runtime) { rt.SetLabel(0, 1) })
+	res, err := rt.Run(context.Background(), 1<<52-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stabilized || res.Faults != 1 || res.End != 2*TicksPerRound {
+		t.Fatalf("horizon 2^52-1 rounds: Stabilized %v Faults %d End %d, want true, 1, %d",
+			res.Stabilized, res.Faults, res.End, 2*TicksPerRound)
 	}
 }

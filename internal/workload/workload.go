@@ -312,22 +312,20 @@ func installBursts(rt *des.Runtime, o Options, rng *rand.Rand) {
 	if k > n {
 		k = n
 	}
+	var perm []int32 // shared by the bursts, each starting from the identity
 	for _, at := range o.BurstAtRounds {
 		rt.ScheduleFault(at*des.TicksPerRound, func(rt *des.Runtime) {
-			// Sparse partial Fisher–Yates over the node IDs: k distinct
-			// victims without materializing a length-n permutation.
-			moved := make(map[int]int, 2*k)
-			at := func(idx int) int {
-				if v, ok := moved[idx]; ok {
-					return v
-				}
-				return idx
+			// Partial Fisher–Yates over the node IDs: k distinct victims.
+			if perm == nil {
+				perm = make([]int32, n)
+			}
+			for i := range perm {
+				perm[i] = int32(i)
 			}
 			for i := 0; i < k; i++ {
 				j := i + int(rng.Uint64N(uint64(n-i)))
-				victim := at(j)
-				moved[j] = at(i)
-				rt.CorruptNode(graph.NodeID(victim), rng)
+				perm[i], perm[j] = perm[j], perm[i]
+				rt.CorruptNode(graph.NodeID(perm[i]), rng)
 			}
 		})
 	}

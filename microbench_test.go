@@ -285,12 +285,15 @@ func BenchmarkIntern(b *testing.B) {
 }
 
 // BenchmarkDES measures the discrete-event runtime's activation
-// throughput: a Poisson (rate 1) steady run of SaturatingRing(1<<18, 4)
-// from a seeded random labeling until it stabilizes. Every node starts
-// dirty, so about 262k events are pending at once; a queue whose pop costs
-// O(log n), such as one binary heap of every event, makes this row 2–3x
-// slower. Only Run is timed; New (labeling copy, initial dirty marking) is
-// not. succ/s is activations per second.
+// throughput: a steady run of SaturatingRing(1<<18, 4) from a seeded random
+// labeling until it stabilizes. Every node starts dirty, so about 262k
+// events are pending at once. Under poisson (rate 1) about one node fires
+// per tick, and a queue whose pop costs O(log n), such as one binary heap
+// of every event, makes that row 2–3x slower. Under adversarial
+// (AdversarialGreedy, R = 4) thousands of nodes fire per tick and every
+// activation is probed with WouldChange: that row exercises the large
+// simultaneous batches. Only Run is timed; New (labeling copy, initial
+// dirty marking) is not. succ/s is activations per second.
 func BenchmarkDES(b *testing.B) {
 	p, err := protocols.SaturatingRing(1<<18, 4)
 	if err != nil {
@@ -299,27 +302,35 @@ func BenchmarkDES(b *testing.B) {
 	g := p.Graph()
 	x := make(core.Input, g.N())
 	l0 := core.RandomLabeling(g, p.Space(), rand.New(rand.NewPCG(1, 1)))
-	b.Run("poisson/steady", func(b *testing.B) {
-		b.ReportAllocs()
-		var acts uint64
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			rt, err := des.New(p, x, l0, des.NewPoisson(1, 1), des.Config{})
-			if err != nil {
-				b.Fatal(err)
+	for _, bc := range []struct {
+		name   string
+		daemon func() des.Daemon
+	}{
+		{"poisson/steady", func() des.Daemon { return des.NewPoisson(1, 1) }},
+		{"adversarial/steady", func() des.Daemon { return des.AdversarialGreedy{R: 4} }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var acts uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				rt, err := des.New(p, x, l0, bc.daemon(), des.Config{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				res, err := rt.Run(context.Background(), 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Stabilized {
+					b.Fatal("steady run did not stabilize")
+				}
+				acts += res.Activations
 			}
-			b.StartTimer()
-			res, err := rt.Run(context.Background(), 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !res.Stabilized {
-				b.Fatal("steady run did not stabilize")
-			}
-			acts += res.Activations
-		}
-		b.ReportMetric(float64(acts)/b.Elapsed().Seconds(), "succ/s")
-	})
+			b.ReportMetric(float64(acts)/b.Elapsed().Seconds(), "succ/s")
+		})
+	}
 }
 
 // BenchmarkGraphNew measures graph construction: graph.New on the edge list

@@ -25,9 +25,11 @@
 #                  variants, plus one Canonicalize row per minimizer ×
 #                  width and an Intern/hash/parallel row that guards the
 #                  hash store's lock-free hit path; BenchmarkDES: DES
-#                  activations/s, which guards the timing-wheel event
-#                  queue; BenchmarkGraphNew: nodes/s of graph.New on a
-#                  2^18-node ring, which guards the flat CSR build;
+#                  activations/s, whose poisson row guards the
+#                  timing-wheel event queue and whose adversarial row the
+#                  large simultaneous batches; BenchmarkGraphNew: nodes/s
+#                  of graph.New on a 2^18-node ring, which guards the flat
+#                  CSR build;
 #                  BenchmarkSimSync: synchronous steps/s of
 #                  sim.RunSynchronous on an 8- and a 4096-node ring, which
 #                  guards single-run step throughput — see
