@@ -200,7 +200,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// The Theorem 3.1 pre-pass enumerates the full per-node labeling space;
 	// bitstate mode targets instances where exactly that is infeasible.
 	if storeKind != verify.StoreBitstate {
-		stable, err := verify.StablePerNodeLabelingsWorkers(p, x, *limit, *workers)
+		stable, err := verify.StablePerNodeLabelings(p, x, *limit, *workers)
 		if err == nil {
 			fmt.Fprintf(stdout, "stable labelings (per-node-uniform): %d\n", len(stable))
 			if len(stable) >= 2 {

@@ -126,3 +126,21 @@ func TestRunSymmetryFlag(t *testing.T) {
 		t.Fatalf("-symmetry maybe: err = %v, want an unknown-symmetry error", err)
 	}
 }
+
+// An out-of-range bitstate size is an error that main prints before it
+// exits 1, never a 2^40-bit allocation. The store is left at auto, so a
+// missing check could not allocate the array.
+func TestRunRejectsOversizedBitstate(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-protocol", "ring", "-n", "4", "-bits", "70"}, "bitstate bits 70 exceeds the maximum 40"},
+		{[]string{"-protocol", "ring", "-n", "4", "-bitstate-k", "1000"}, "bitstate k 1000 exceeds the maximum 8"},
+	} {
+		err := run(tc.args, &bytes.Buffer{}, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%v: err = %v, want %q", tc.args, err, tc.want)
+		}
+	}
+}

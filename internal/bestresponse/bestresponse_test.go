@@ -53,7 +53,7 @@ func TestStableAssignmentsMatchStableLabelings(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			labelings, err := verify.StablePerNodeLabelings(p, make(core.Input, tt.spp.N), 1<<22)
+			labelings, err := verify.StablePerNodeLabelings(p, make(core.Input, tt.spp.N), 1<<22, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

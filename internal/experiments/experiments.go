@@ -133,7 +133,7 @@ func E1CliqueStabilization() (Table, error) {
 			return t, err
 		}
 		x := make(core.Input, n)
-		stable, err := verify.StablePerNodeLabelingsWorkers(p, x, 1<<22, Workers)
+		stable, err := verify.StablePerNodeLabelings(p, x, 1<<22, Workers)
 		if err != nil {
 			return t, err
 		}

@@ -142,13 +142,6 @@ type Config struct {
 	// Ctx cancels the run: workers check it once per batch and Run returns
 	// an ErrCanceled-wrapped error. nil means never canceled.
 	Ctx context.Context
-	// MaxBatch chunks the engine's intern/enqueue pass: at most MaxBatch
-	// successors are interned and queued per store round-trip. ≤ 0 means
-	// whole-batch (one round-trip per expanded state). Verdict-relevant
-	// results are identical for every setting; the knob exists to bound
-	// latency between discovery and enqueueing and to let tests sweep
-	// batch granularity.
-	MaxBatch int
 	// Progress, when non-nil, receives periodic snapshots (every
 	// ProgressInterval) from a sampler goroutine plus one final snapshot
 	// after the run completes. Callbacks may fire concurrently with
@@ -246,11 +239,11 @@ type run struct {
 // emitted during expansion are interned exactly once, and every fresh state
 // is expanded exactly once. With an exact store the visited set — and
 // therefore the verdict of any analysis over it — is independent of worker
-// count, scheduling, batch granularity and spilling; with a lossy
-// (bitstate) store the admitted set can additionally depend on hash
-// collisions, so it is a sound under-approximation (never invents states)
-// rather than exact. The frontier spills to disk past FrontierMemBytes for
-// every store; checkpointing is available only for lossy stores.
+// count, scheduling and spilling; with a lossy (bitstate) store the
+// admitted set can additionally depend on hash collisions, so it is a
+// sound under-approximation (never invents states) rather than exact. The
+// frontier spills to disk past FrontierMemBytes for every store;
+// checkpointing is available only for lossy stores.
 func Run(cfg Config) error {
 	if (cfg.CheckpointDir != "" || cfg.Resume) && !cfg.Store.Lossy() {
 		return fmt.Errorf("explore: checkpoint/resume requires a lossy (bitstate) store")
@@ -472,7 +465,7 @@ func (r *run) worker(w int, wg *sync.WaitGroup) {
 	}
 }
 
-// internBatch interns the batch's keys (in MaxBatch-sized chunks), filling
+// internBatch interns the batch's keys in one store round-trip, filling
 // IDs/Fresh, charging fresh states against the limit, and enqueueing them
 // at discovery depth d.
 func (r *run) internBatch(b *Batch, d int32) error {
@@ -483,33 +476,23 @@ func (r *run) internBatch(b *Batch, d int32) error {
 	}
 	b.IDs = b.IDs[:count]
 	b.Fresh = b.Fresh[:count]
-	step := r.cfg.MaxBatch
-	if step <= 0 {
-		step = count
+	block := b.keys[:count*b.wpk]
+	if err := r.cfg.Store.InternBatch(block, b.IDs, b.Fresh); err != nil {
+		return err
 	}
-	for from := 0; from < count; from += step {
-		to := min(from+step, count)
-		block := b.keys[from*b.wpk : to*b.wpk]
-		if err := r.cfg.Store.InternBatch(block, b.IDs[from:to], b.Fresh[from:to]); err != nil {
-			return err
-		}
-		freshCount := 0
-		for i := from; i < to; i++ {
-			if b.Fresh[i] {
-				freshCount++
-			}
-		}
-		if freshCount == 0 {
-			continue
-		}
-		if total := int(r.total.Add(int64(freshCount))); r.cfg.Limit > 0 && total > r.cfg.Limit {
-			return fmt.Errorf("%w: > %d states", ErrLimit, r.cfg.Limit)
-		}
-		if err := r.q.pushFresh(block, b.IDs[from:to], b.Fresh[from:to], d, freshCount); err != nil {
-			return err
+	freshCount := 0
+	for _, f := range b.Fresh {
+		if f {
+			freshCount++
 		}
 	}
-	return nil
+	if freshCount == 0 {
+		return nil
+	}
+	if total := int(r.total.Add(int64(freshCount))); r.cfg.Limit > 0 && total > r.cfg.Limit {
+		return fmt.Errorf("%w: > %d states", ErrLimit, r.cfg.Limit)
+	}
+	return r.q.pushFresh(block, b.IDs, b.Fresh, d, freshCount)
 }
 
 // snapshot reads the progress counters.

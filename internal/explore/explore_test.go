@@ -671,52 +671,6 @@ func TestRunCanceledMidRun(t *testing.T) {
 	}
 }
 
-// TestRunBatchGranularityInvariant sweeps MaxBatch: the visited set and
-// per-state expansion counts must be identical for every chunking.
-func TestRunBatchGranularityInvariant(t *testing.T) {
-	var refSet map[uint64]int
-	for _, maxBatch := range []int{0, 1, 2, 7, 64} {
-		for _, workers := range []int{1, 4} {
-			mu := &sync.Mutex{}
-			expanded := map[uint64]int{}
-			store := NewDense(10)
-			err := Run(Config{
-				Store:    store,
-				Workers:  workers,
-				Limit:    1 << 10,
-				MaxBatch: maxBatch,
-				Seed: func(emit Emit) error {
-					_, _, err := emit([]uint64{1})
-					return err
-				},
-				NewExpander: func(int) Expander {
-					return &countingExpander{n: 1 << 10, mu: mu, expanded: expanded}
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k, c := range expanded {
-				if c != 1 {
-					t.Fatalf("maxBatch=%d workers=%d: state %d expanded %d times", maxBatch, workers, k, c)
-				}
-			}
-			if refSet == nil {
-				refSet = expanded
-				continue
-			}
-			if len(expanded) != len(refSet) {
-				t.Fatalf("maxBatch=%d workers=%d: %d states vs reference %d", maxBatch, workers, len(expanded), len(refSet))
-			}
-			for k := range refSet {
-				if expanded[k] != 1 {
-					t.Fatalf("maxBatch=%d workers=%d: reference state %d missing", maxBatch, workers, k)
-				}
-			}
-		}
-	}
-}
-
 // idCheckingExpander is a countingExpander that also checks the store ID
 // the frontier hands back with each state: re-interning the state's key
 // must answer that same ID, not fresh.

@@ -23,7 +23,7 @@ func ChunkCount(space core.LabelSpace, m int) int {
 }
 
 // Labelings enumerates Σ^m across a worker pool: the odometer sequence
-// (verify.EnumerateLabelings order) is carved into fixed chunks of
+// (position 0 varies fastest) is carved into fixed chunks of
 // sweepChunk labelings, chunks run concurrently, and fn(chunk, l) is called
 // for each labeling — in ascending order within a chunk. fn may be called
 // concurrently for different chunks and must not retain l. The error

@@ -160,75 +160,3 @@ func (g *Graph) OutTree(root NodeID) (*Tree, error) { return g.spanningTree(root
 // Proposition 2.3, used to aggregate inputs toward the root). Parent[v] is
 // the next hop from v toward the root along a directed edge v→Parent[v].
 func (g *Graph) InTree(root NodeID) (*Tree, error) { return g.spanningTree(root, true) }
-
-// SCCs returns the strongly connected components of the graph in reverse
-// topological order (Tarjan's algorithm, iterative).
-func (g *Graph) SCCs() [][]NodeID {
-	const unvisited = -1
-	index := make([]int, g.n)
-	low := make([]int, g.n)
-	onStack := make([]bool, g.n)
-	for i := range index {
-		index[i] = unvisited
-	}
-	var (
-		stack   []NodeID
-		sccs    [][]NodeID
-		counter int
-	)
-	type frame struct {
-		v    NodeID
-		next int
-	}
-	for start := 0; start < g.n; start++ {
-		if index[start] != unvisited {
-			continue
-		}
-		callStack := []frame{{NodeID(start), 0}}
-		index[start] = counter
-		low[start] = counter
-		counter++
-		stack = append(stack, NodeID(start))
-		onStack[start] = true
-		for len(callStack) > 0 {
-			f := &callStack[len(callStack)-1]
-			if out := g.Out(f.v); f.next < len(out) {
-				u := g.Head(out[f.next])
-				f.next++
-				if index[u] == unvisited {
-					index[u] = counter
-					low[u] = counter
-					counter++
-					stack = append(stack, u)
-					onStack[u] = true
-					callStack = append(callStack, frame{u, 0})
-				} else if onStack[u] && index[u] < low[f.v] {
-					low[f.v] = index[u]
-				}
-				continue
-			}
-			v := f.v
-			callStack = callStack[:len(callStack)-1]
-			if len(callStack) > 0 {
-				p := callStack[len(callStack)-1].v
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				var comp []NodeID
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
-				}
-				sccs = append(sccs, comp)
-			}
-		}
-	}
-	return sccs
-}

@@ -356,31 +356,6 @@ func TestSpanningTreeNotStrong(t *testing.T) {
 	}
 }
 
-func TestSCCs(t *testing.T) {
-	// Two 2-cycles joined by a one-way edge: {0,1} → {2,3}.
-	g := MustNew(4, []Edge{{0, 1}, {1, 0}, {2, 3}, {3, 2}, {1, 2}})
-	sccs := g.SCCs()
-	if len(sccs) != 2 {
-		t.Fatalf("got %d SCCs, want 2: %v", len(sccs), sccs)
-	}
-	sizes := map[int]int{}
-	for _, c := range sccs {
-		sizes[len(c)]++
-	}
-	if sizes[2] != 2 {
-		t.Errorf("want two SCCs of size 2, got %v", sccs)
-	}
-}
-
-func TestSCCsStronglyConnected(t *testing.T) {
-	for _, g := range []*Graph{Ring(7), Clique(5), BidirectionalRing(6)} {
-		sccs := g.SCCs()
-		if len(sccs) != 1 || len(sccs[0]) != g.N() {
-			t.Errorf("%v: want single SCC of size %d, got %d comps", g, g.N(), len(sccs))
-		}
-	}
-}
-
 func TestMaxDegree(t *testing.T) {
 	tests := []struct {
 		g    *Graph

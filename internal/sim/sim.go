@@ -108,6 +108,11 @@ type Result struct {
 // ErrBadInput is returned when the input vector length mismatches the graph.
 var ErrBadInput = errors.New("sim: input length must equal node count")
 
+// ErrBadSchedule is returned when a schedule is malformed: a periodic
+// schedule with a period below 1, or an activation set naming a node
+// outside the graph.
+var ErrBadSchedule = errors.New("sim: malformed schedule")
+
 // ErrAperiodic is returned when DetectCycles is set under a schedule that
 // is not schedule.Periodic: a recurring labeling proves no cycle there.
 var ErrAperiodic = errors.New("sim: cycle detection needs a periodic schedule")
@@ -180,22 +185,29 @@ func run(p *core.Protocol, x core.Input, l0 core.Labeling, sched schedule.Schedu
 	if maxSteps == 0 {
 		maxSteps = DefaultMaxSteps
 	}
+	// Activation sets are checked against the node count for the first
+	// period of a periodic schedule (its set at step t depends only on
+	// t mod the period, so that covers the run) and at every step of any
+	// other schedule.
+	checkUntil, period := maxSteps, 0
+	if ps, ok := sched.(schedule.Periodic); ok {
+		if period = ps.Period(); period < 1 {
+			return Result{}, fmt.Errorf("%w: period %d", ErrBadSchedule, period)
+		}
+		checkUntil = period
+	} else if opts.DetectCycles {
+		return Result{}, fmt.Errorf("%w: %T", ErrAperiodic, sched)
+	}
 	// Cycle detection interns the packed labeling at phase 0 of every
 	// period: no per-step allocation, ⌈log₂|Σ|⌉ bits per edge, and a table
 	// that grows with the run. The k-th fresh key (ID k) was interned at
 	// step (k+1)·period, so IDs double as step stamps.
 	var (
-		period int
 		codec  *enc.Codec
 		seen   *enc.Table
 		keyBuf []uint64
 	)
 	if opts.DetectCycles {
-		ps, ok := sched.(schedule.Periodic)
-		if !ok {
-			return Result{}, fmt.Errorf("%w: %T", ErrAperiodic, sched)
-		}
-		period = ps.Period()
 		codec = enc.NewLabelCodec(p.Space(), g.M())
 		seen = enc.NewTable(codec.Words(), 0)
 	}
@@ -218,6 +230,11 @@ func run(p *core.Protocol, x core.Input, l0 core.Labeling, sched schedule.Schedu
 			}
 		}
 		active = sched.Activated(t, active[:0])
+		if t <= checkUntil {
+			if err := checkActive(active, g.N(), t); err != nil {
+				return Result{}, err
+			}
+		}
 		changed := stepper.Step(x, cur, &next, active)
 		cur, next = next, cur
 		if opts.Trace != nil {
@@ -234,7 +251,7 @@ func run(p *core.Protocol, x core.Input, l0 core.Labeling, sched schedule.Schedu
 				Status:       LabelStable,
 				Steps:        t,
 				StabilizedAt: lastLabelChange,
-				Final:        cur.Clone(),
+				Final:        cur, // run owns cur and is done with it
 				Outputs:      core.StableOutputs(p, x, cur.Labels),
 			}, nil
 		}
@@ -252,6 +269,16 @@ func run(p *core.Protocol, x core.Input, l0 core.Labeling, sched schedule.Schedu
 		Final:        cur.Clone(),
 		Outputs:      append([]core.Bit(nil), cur.Outputs...),
 	}, nil
+}
+
+// checkActive rejects an activation set that names a node outside [0, n).
+func checkActive(active []graph.NodeID, n, t int) error {
+	for _, v := range active {
+		if uint(v) >= uint(n) {
+			return fmt.Errorf("%w: step %d activates node %d of %d", ErrBadSchedule, t, v, n)
+		}
+	}
+	return nil
 }
 
 // classifyCycle replays the detected cycle once to decide whether outputs

@@ -155,7 +155,7 @@ func TestUniqueStableLabelingNecessary(t *testing.T) {
 		if !dec.Stabilizing {
 			continue
 		}
-		stable, err := verify.StableLabelings(p, x, 1<<20)
+		stable, err := verify.StableLabelings(p, x, 1<<20, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -271,8 +271,7 @@ func (o *oracle) check(t *testing.T, label string, a analysis) {
 // TestRowAnalysisMatchesOracle pins the row-based analysis (the edge log
 // ranked in place and read as the CSR) against an independent oracle —
 // the states-graph re-derived with core.Step and partitioned by brute-force
-// mutual reachability — on every store × symmetry × workers × batch
-// setting, at the production chunk size and at a 16-entry chunk that
+// mutual reachability — on every store × symmetry × workers setting, at the production chunk size and at a 16-entry chunk that
 // forces runs to start new chunks and long runs into dedicated ones. The
 // public check must reach the same verdict, state count and witness.
 func TestRowAnalysisMatchesOracle(t *testing.T) {
@@ -320,34 +319,32 @@ func TestRowAnalysisMatchesOracle(t *testing.T) {
 				for _, st := range tc.stores {
 					for _, sy := range syms {
 						for _, w := range []int{1, 2, 4} {
-							for _, b := range []int{0, 1, 7} {
-								opts := Options{Workers: w, Store: st, Symmetry: sy, Batch: b}
-								label := fmt.Sprintf("chunk=%d store=%d sym=%d workers=%d batch=%d", chunk, st, sy, w, b)
-								a := analyze(t, tc.p, x, 2, tc.outputs, opts)
-								for _, ex := range a.e.expanders {
-									if ex == nil {
-										continue
-									}
-									multiChunk = multiChunk || len(ex.log) >= 2
-									for _, c := range ex.log {
-										dedicated = dedicated || cap(c) > edgeChunk
-									}
+							opts := Options{Workers: w, Store: st, Symmetry: sy}
+							label := fmt.Sprintf("chunk=%d store=%d sym=%d workers=%d", chunk, st, sy, w)
+							a := analyze(t, tc.p, x, 2, tc.outputs, opts)
+							for _, ex := range a.e.expanders {
+								if ex == nil {
+									continue
 								}
-								o := oracles[sy]
-								if o == nil {
-									o = newOracle(t, a.e, a.total)
-									oracles[sy] = o
+								multiChunk = multiChunk || len(ex.log) >= 2
+								for _, c := range ex.log {
+									dedicated = dedicated || cap(c) > edgeChunk
 								}
-								o.check(t, label, a)
-								dec, err := stabilization(tc.p, x, 2, tc.outputs, opts)
-								if err != nil {
-									t.Fatalf("%s: %v", label, err)
-								}
-								if dec.Stabilizing != (o.witness == nil) || dec.States != a.total ||
-									!reflect.DeepEqual(dec.Witness, o.witness) {
-									t.Fatalf("%s: decision %+v disagrees with the oracle (states %d, witness %+v)",
-										label, dec, a.total, o.witness)
-								}
+							}
+							o := oracles[sy]
+							if o == nil {
+								o = newOracle(t, a.e, a.total)
+								oracles[sy] = o
+							}
+							o.check(t, label, a)
+							dec, err := stabilization(tc.p, x, 2, tc.outputs, opts)
+							if err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+							if dec.Stabilizing != (o.witness == nil) || dec.States != a.total ||
+								!reflect.DeepEqual(dec.Witness, o.witness) {
+								t.Fatalf("%s: decision %+v disagrees with the oracle (states %d, witness %+v)",
+									label, dec, a.total, o.witness)
 							}
 						}
 					}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"stateless/internal/core"
+	"stateless/internal/protocols"
 	"stateless/internal/verify"
 )
 
@@ -116,5 +117,58 @@ func TestSpillBudgetNeedsDir(t *testing.T) {
 		if err == nil {
 			t.Fatalf("store=%v: spill budget without a spill dir accepted", store)
 		}
+	}
+}
+
+// TestInputLengthChecked checks that every entry point rejects an input
+// vector shorter or longer than the node count instead of panicking or
+// silently ignoring the tail.
+func TestInputLengthChecked(t *testing.T) {
+	p, err := protocols.CopyRing(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{2, 5} {
+		x := make(core.Input, n)
+		if _, err := verify.LabelRStabilizing(p, x, 2, 0); err == nil {
+			t.Errorf("len(x)=%d: LabelRStabilizing accepted", n)
+		}
+		if _, err := verify.OutputRStabilizing(p, x, 2, 0); err == nil {
+			t.Errorf("len(x)=%d: OutputRStabilizing accepted", n)
+		}
+		if _, err := verify.StableLabelings(p, x, 1<<16, 1); err == nil {
+			t.Errorf("len(x)=%d: StableLabelings accepted", n)
+		}
+		if _, err := verify.StablePerNodeLabelings(p, x, 1<<16, 1); err == nil {
+			t.Errorf("len(x)=%d: StablePerNodeLabelings accepted", n)
+		}
+	}
+}
+
+// TestBitstateOptionsBounded checks that a bitstate size or hash count
+// past its maximum is an error, while ≤ 0 still selects the default. The
+// bounds are checked whatever the store, before anything is allocated; the
+// oversized bit arrays run under the hash store, so that a missing check
+// could not attempt the 2^40-bit (128 GiB) array a bitstate store clamps
+// them to.
+func TestBitstateOptionsBounded(t *testing.T) {
+	p := uniformRingProtocol(t, 4, 2, 42)
+	x := make(core.Input, 4)
+	for _, opts := range []verify.Options{
+		{Store: verify.StoreHash, BitstateBits: 70},
+		{Store: verify.StoreHash, BitstateBits: 41},
+		{Store: verify.StoreBitstate, BitstateK: 1000},
+		{Store: verify.StoreBitstate, BitstateK: 9},
+	} {
+		if _, err := verify.LabelRStabilizingOpts(p, x, 2, opts); err == nil {
+			t.Errorf("bits=%d k=%d accepted", opts.BitstateBits, opts.BitstateK)
+		}
+	}
+	dec, err := verify.LabelRStabilizingOpts(p, x, 2, verify.Options{Store: verify.StoreBitstate, BitstateBits: -1, BitstateK: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.BitstateK != verify.DefaultBitstateK {
+		t.Errorf("k ≤ 0 ran with k=%d, want the default %d", dec.BitstateK, verify.DefaultBitstateK)
 	}
 }

@@ -9,39 +9,6 @@ import (
 	"stateless/internal/protocols"
 )
 
-func TestEnumerateLabelings(t *testing.T) {
-	space := core.MustLabelSpace(3)
-	var count int
-	seen := make(map[string]bool)
-	err := EnumerateLabelings(space, 3, func(l core.Labeling) error {
-		count++
-		seen[l.Key()] = true
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 27 || len(seen) != 27 {
-		t.Errorf("enumerated %d labelings (%d distinct), want 27", count, len(seen))
-	}
-}
-
-func TestEnumerateLabelingsEarlyStop(t *testing.T) {
-	space := core.BinarySpace()
-	wantErr := errors.New("stop")
-	var count int
-	err := EnumerateLabelings(space, 4, func(core.Labeling) error {
-		count++
-		if count == 3 {
-			return wantErr
-		}
-		return nil
-	})
-	if !errors.Is(err, wantErr) || count != 3 {
-		t.Errorf("early stop broken: count=%d err=%v", count, err)
-	}
-}
-
 func TestStableLabelingsExample1(t *testing.T) {
 	// Example 1 on K_n has exactly two stable labelings: 0^{n(n-1)} and
 	// 1^{n(n-1)}.
@@ -49,7 +16,7 @@ func TestStableLabelingsExample1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stable, err := StableLabelings(p, make(core.Input, 3), 1<<16)
+	stable, err := StableLabelings(p, make(core.Input, 3), 1<<16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +35,7 @@ func TestStableLabelingsExample1(t *testing.T) {
 
 func TestStableLabelingsLimit(t *testing.T) {
 	p, _ := protocols.Example1Clique(4) // 2^12 labelings
-	if _, err := StableLabelings(p, make(core.Input, 4), 100); !errors.Is(err, ErrStateSpaceTooLarge) {
+	if _, err := StableLabelings(p, make(core.Input, 4), 100, 0); !errors.Is(err, ErrStateSpaceTooLarge) {
 		t.Errorf("want ErrStateSpaceTooLarge, got %v", err)
 	}
 }
@@ -249,7 +216,7 @@ func TestTreeProtocolIsRStabilizing(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := core.Input{1, 0, 1}
-	stable, err := StableLabelings(p, x, 1<<20)
+	stable, err := StableLabelings(p, x, 1<<20, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

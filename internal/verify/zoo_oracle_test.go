@@ -11,7 +11,7 @@ import (
 	"stateless/internal/verify"
 )
 
-// TestOracleZooTopologies extends the store×symmetry×workers×batch×spill
+// TestOracleZooTopologies extends the store×symmetry×workers×spill
 // oracle to the generalized symmetry groups: bidirectional rings (dihedral),
 // hypercubes (signed permutations, and the root-stabilizer subgroup for
 // the rooted BFS protocol), and tori (translations). For every instance,
@@ -106,7 +106,6 @@ func TestOracleZooTopologies(t *testing.T) {
 				store verify.StoreKind
 				sym   verify.SymmetryMode
 				work  int
-				batch int
 				spill int64 // frontier memory budget (0 = never spill)
 			}
 			var cfgs []cfg
@@ -121,10 +120,8 @@ func TestOracleZooTopologies(t *testing.T) {
 						budget = 128
 					}
 					for _, w := range []int{1, 4} {
-						for _, b := range []int{0, 7} {
-							for _, sp := range []int64{0, budget} {
-								cfgs = append(cfgs, cfg{st, sy, w, b, sp})
-							}
+						for _, sp := range []int64{0, budget} {
+							cfgs = append(cfgs, cfg{st, sy, w, sp})
 						}
 					}
 				}
@@ -134,7 +131,7 @@ func TestOracleZooTopologies(t *testing.T) {
 				reg := obs.NewRegistry()
 				dec, err := verify.LabelRStabilizingOpts(tc.p, tc.x, 2, verify.Options{
 					Limit: 1 << 22, Workers: c.work, Store: c.store, Symmetry: c.sym,
-					Batch: c.batch, SpillMemBytes: c.spill, SpillDir: t.TempDir(),
+					SpillMemBytes: c.spill, SpillDir: t.TempDir(),
 					Metrics: reg,
 				})
 				if err != nil {
@@ -166,11 +163,11 @@ func TestOracleZooTopologies(t *testing.T) {
 				}
 				if prev, ok := byState[c.sym]; ok {
 					if dec.States != prev.States {
-						t.Fatalf("cfg %+v: state count %d vs %d across stores/workers/batches/spill",
+						t.Fatalf("cfg %+v: state count %d vs %d across stores/workers/spill",
 							c, dec.States, prev.States)
 					}
 					if !witnessEqual(dec.Witness, prev.Witness) {
-						t.Fatalf("cfg %+v: witness differs across stores/workers/batches/spill", c)
+						t.Fatalf("cfg %+v: witness differs across stores/workers/spill", c)
 					}
 				} else {
 					byState[c.sym] = dec
