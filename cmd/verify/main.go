@@ -43,6 +43,7 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"strings"
 	"time"
 
 	"stateless/internal/bestresponse"
@@ -56,7 +57,8 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "verify:", err)
+		// Errors of the verify package already carry the prefix.
+		fmt.Fprintln(os.Stderr, "verify:", strings.TrimPrefix(err.Error(), "verify: "))
 		os.Exit(1)
 	}
 }
@@ -197,19 +199,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown symmetry %q: want auto | on | off", *symmetry)
 	}
 
-	// The Theorem 3.1 pre-pass enumerates the full per-node labeling space;
-	// bitstate mode targets instances where exactly that is infeasible.
-	if storeKind != verify.StoreBitstate {
-		stable, err := verify.StablePerNodeLabelings(p, x, *limit, *workers)
-		if err == nil {
-			fmt.Fprintf(stdout, "stable labelings (per-node-uniform): %d\n", len(stable))
-			if len(stable) >= 2 {
-				fmt.Fprintf(stdout, "⇒ Theorem 3.1: cannot be label %d-stabilizing\n", g.N()-1)
-			}
-		}
-	}
-
-	var dec verify.Decision
 	opts := verify.Options{
 		Limit:              *limit,
 		Workers:            *workers,
@@ -224,6 +213,23 @@ func run(args []string, stdout, stderr io.Writer) error {
 		CheckpointInterval: *ckInterval,
 		Resume:             *resume,
 	}
+	if err := opts.Validate(); err != nil {
+		return err
+	}
+
+	// The Theorem 3.1 pre-pass enumerates the full per-node labeling space;
+	// bitstate mode targets instances where exactly that is infeasible.
+	if storeKind != verify.StoreBitstate {
+		stable, err := verify.StablePerNodeLabelings(p, x, *limit, *workers)
+		if err == nil {
+			fmt.Fprintf(stdout, "stable labelings (per-node-uniform): %d\n", len(stable))
+			if len(stable) >= 2 {
+				fmt.Fprintf(stdout, "⇒ Theorem 3.1: cannot be label %d-stabilizing\n", g.N()-1)
+			}
+		}
+	}
+
+	var dec verify.Decision
 	if *progress {
 		opts.ProgressInterval = *interval
 		opts.Progress = func(pr verify.Progress) {

@@ -138,9 +138,14 @@ func TestRunRejectsOversizedBitstate(t *testing.T) {
 		{[]string{"-protocol", "ring", "-n", "4", "-bits", "70"}, "bitstate bits 70 exceeds the maximum 40"},
 		{[]string{"-protocol", "ring", "-n", "4", "-bitstate-k", "1000"}, "bitstate k 1000 exceeds the maximum 8"},
 	} {
-		err := run(tc.args, &bytes.Buffer{}, &bytes.Buffer{})
+		var stdout bytes.Buffer
+		err := run(tc.args, &stdout, &bytes.Buffer{})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%v: err = %v, want %q", tc.args, err, tc.want)
+		}
+		// The option is refused before the stable-labeling pre-pass runs.
+		if stdout.Len() != 0 {
+			t.Fatalf("%v: printed %q before refusing the option", tc.args, stdout.String())
 		}
 	}
 }

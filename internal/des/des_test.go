@@ -12,131 +12,15 @@ import (
 	"stateless/internal/obs"
 	"stateless/internal/protocols"
 	"stateless/internal/schedule"
-	"stateless/internal/sim"
 )
 
-// syncInstances are the protocol instances the sync-equivalence tests
-// sweep: stabilizing members of the zoo across topologies.
-func syncInstances(t *testing.T) []struct {
-	name string
-	p    *core.Protocol
-	x    core.Input
-} {
-	t.Helper()
-	satRing, err := protocols.SaturatingRing(9, 4)
+// syncDaemon is the synchronous schedule over n nodes as a daemon.
+func syncDaemon(n int) *ScheduleDaemon {
+	d, err := FromSchedule(schedule.Synchronous{N: n}, n, 0)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	cube := graph.Hypercube(3)
-	satNet, err := protocols.SaturatingNet(cube, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring := graph.BidirectionalRing(10)
-	bfs, err := protocols.BFSSpanningTree(ring, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bfsX := make(core.Input, ring.N())
-	bfsX[0] = 1
-	return []struct {
-		name string
-		p    *core.Protocol
-		x    core.Input
-	}{
-		{"saturating-ring9", satRing, make(core.Input, 9)},
-		{"saturating-cube3", satNet, make(core.Input, cube.N())},
-		{"bfs-bidir-ring10", bfs, bfsX},
-	}
-}
-
-// The tentpole soundness claim: under the Synchronous daemon the event
-// runtime is step-for-step equivalent to sim.RunSynchronous — identical
-// final labelings and identical stabilization round — even though it only
-// ever activates dirty nodes.
-func TestSynchronousDaemonMatchesSim(t *testing.T) {
-	for _, in := range syncInstances(t) {
-		t.Run(in.name, func(t *testing.T) {
-			g := in.p.Graph()
-			for seed := uint64(0); seed < 20; seed++ {
-				rng := rand.New(rand.NewPCG(seed, seed))
-				l0 := core.RandomLabeling(g, in.p.Space(), rng)
-
-				want, err := sim.RunSynchronous(in.p, in.x, l0, 1<<16)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want.Status != sim.LabelStable {
-					t.Fatalf("seed %d: sim status %v, want label-stable", seed, want.Status)
-				}
-
-				rt, err := New(in.p, in.x, l0, Synchronous{}, Config{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := rt.Run(context.Background(), 1<<16)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !got.Stabilized {
-					t.Fatalf("seed %d: des did not stabilize", seed)
-				}
-				if !rt.Labels().Equal(want.Final.Labels) {
-					t.Fatalf("seed %d: final labelings differ:\ndes %v\nsim %v",
-						seed, rt.Labels(), want.Final.Labels)
-				}
-				if got.StabilizedAt%TicksPerRound != 0 {
-					t.Fatalf("seed %d: sync label change off a round boundary: tick %d",
-						seed, got.StabilizedAt)
-				}
-				if round := got.StabilizedAt / TicksPerRound; int(round) != want.StabilizedAt {
-					t.Fatalf("seed %d: stabilization round %d, sim says %d",
-						seed, round, want.StabilizedAt)
-				}
-			}
-		})
-	}
-}
-
-// A non-stabilizing protocol never drains the heap; truncating both
-// executions at the same horizon must still produce identical labelings.
-func TestSynchronousDaemonMatchesSimOscillating(t *testing.T) {
-	p, err := protocols.CopyRing(5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := p.Graph()
-	x := make(core.Input, g.N())
-	const horizon = 47
-	for seed := uint64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewPCG(seed, seed))
-		l0 := core.RandomLabeling(g, p.Space(), rng)
-		want, err := sim.Run(p, x, l0, schedule.Synchronous{N: g.N()}, sim.Options{MaxSteps: horizon})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt, err := New(p, x, l0, Synchronous{}, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := rt.Run(context.Background(), horizon)
-		if err != nil {
-			t.Fatal(err)
-		}
-		uniform := true
-		for _, l := range l0[1:] {
-			if l != l0[0] {
-				uniform = false
-			}
-		}
-		if got.Stabilized != uniform {
-			t.Fatalf("seed %d: stabilized=%v on copy-ring (uniform=%v)", seed, got.Stabilized, uniform)
-		}
-		if !rt.Labels().Equal(want.Final.Labels) {
-			t.Fatalf("seed %d: truncated labelings differ:\ndes %v\nsim %v",
-				seed, rt.Labels(), want.Final.Labels)
-		}
-	}
+	return d
 }
 
 // Altisen–Bozga's revisited analysis of the Dolev–Israeli–Moran BFS
@@ -167,7 +51,7 @@ func TestBFSConvergenceBound(t *testing.T) {
 			for seed := uint64(0); seed < 30; seed++ {
 				rng := rand.New(rand.NewPCG(seed, seed))
 				l0 := core.RandomLabeling(tc.g, p.Space(), rng)
-				rt, err := New(p, x, l0, Synchronous{}, Config{})
+				rt, err := New(p, x, l0, syncDaemon(tc.g.N()), Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -215,7 +99,7 @@ func TestQuiescentNodesCostNothing(t *testing.T) {
 	g := p.Graph()
 	x := make(core.Input, n)
 	stable := core.UniformLabeling(g, core.Label(sigma-1)) // the unique fixed point
-	rt, err := New(p, x, stable, Synchronous{}, Config{AssumeClean: true})
+	rt, err := New(p, x, stable, syncDaemon(g.N()), Config{AssumeClean: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +230,7 @@ func TestCrashRejoin(t *testing.T) {
 	x := make(core.Input, n)
 	rng := rand.New(rand.NewPCG(5, 5))
 	l0 := core.RandomLabeling(g, p.Space(), rng)
-	rt, err := New(p, x, l0, Synchronous{}, Config{})
+	rt, err := New(p, x, l0, syncDaemon(g.N()), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +262,7 @@ func TestRunCanceled(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := p.Graph()
-	rt, err := New(p, make(core.Input, g.N()), core.UniformLabeling(g, 0), Synchronous{}, Config{})
+	rt, err := New(p, make(core.Input, g.N()), core.UniformLabeling(g, 0), syncDaemon(g.N()), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +284,7 @@ func TestMetricsRecorded(t *testing.T) {
 	m := obs.NewRegistry()
 	rng := rand.New(rand.NewPCG(1, 1))
 	rt, err := New(p, make(core.Input, g.N()), core.RandomLabeling(g, p.Space(), rng),
-		Synchronous{}, Config{Metrics: m})
+		syncDaemon(g.N()), Config{Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,15 +316,15 @@ func TestNewValidation(t *testing.T) {
 	}
 	g := p.Graph()
 	good := core.UniformLabeling(g, 0)
-	if _, err := New(p, make(core.Input, 3), good, Synchronous{}, Config{}); err == nil {
+	if _, err := New(p, make(core.Input, 3), good, syncDaemon(g.N()), Config{}); err == nil {
 		t.Error("short input accepted")
 	}
-	if _, err := New(p, make(core.Input, 4), good[:2], Synchronous{}, Config{}); err == nil {
+	if _, err := New(p, make(core.Input, 4), good[:2], syncDaemon(g.N()), Config{}); err == nil {
 		t.Error("short labeling accepted")
 	}
 	bad := good.Clone()
 	bad[0] = 99
-	if _, err := New(p, make(core.Input, 4), bad, Synchronous{}, Config{}); err == nil {
+	if _, err := New(p, make(core.Input, 4), bad, syncDaemon(g.N()), Config{}); err == nil {
 		t.Error("out-of-space label accepted")
 	}
 	if _, err := New(p, make(core.Input, 4), good, nil, Config{}); err == nil {
@@ -546,7 +430,7 @@ func TestRunRejectsHorizonPastTickRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rounds := range []uint64{1 << 52, 1<<52 + 1, 1 << 54, 1 << 60, 1<<64 - 1} {
-		rt, err := New(p, make(core.Input, 4), make(core.Labeling, 4), Synchronous{}, Config{})
+		rt, err := New(p, make(core.Input, 4), make(core.Labeling, 4), syncDaemon(4), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -554,7 +438,7 @@ func TestRunRejectsHorizonPastTickRange(t *testing.T) {
 			t.Errorf("horizon %d rounds: no error (Stabilized %v, End %d)", rounds, res.Stabilized, res.End)
 		}
 	}
-	rt, err := New(p, make(core.Input, 4), make(core.Labeling, 4), Synchronous{}, Config{})
+	rt, err := New(p, make(core.Input, 4), make(core.Labeling, 4), syncDaemon(4), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,5 +450,52 @@ func TestRunRejectsHorizonPastTickRange(t *testing.T) {
 	if !res.Stabilized || res.Faults != 1 || res.End != 2*TicksPerRound {
 		t.Fatalf("horizon 2^52-1 rounds: Stabilized %v Faults %d End %d, want true, 1, %d",
 			res.Stabilized, res.Faults, res.End, 2*TicksPerRound)
+	}
+}
+
+// A node that never becomes dirty again still appears in the steps a
+// ScheduleDaemon generates for the others; its queue must not keep them.
+// Nodes 0–6 form a NOT ring, which has no fixed point, nodes 7–15 a copy
+// ring whose all-zero labeling is one. Under a random 3-fair schedule,
+// every queue stays within the generated lookahead of a few steps instead
+// of growing with the 20,000 rounds of the run.
+func TestScheduleDaemonQueuesStayBounded(t *testing.T) {
+	const n, rounds = 16, 20_000
+	var edges []graph.Edge
+	reactions := make([]core.Reaction, n)
+	for v := 0; v < n; v++ {
+		next, flip := (v+1)%7, core.Label(1)
+		if v >= 7 {
+			next, flip = 7+(v-6)%9, 0
+		}
+		edges = append(edges, graph.Edge{From: graph.NodeID(v), To: graph.NodeID(next)})
+		reactions[v] = func(in []core.Label, _ core.Bit, out []core.Label) core.Bit {
+			out[0] = in[0] ^ flip
+			return 0
+		}
+	}
+	p, err := core.NewProtocol(graph.MustNew(n, edges), core.BinarySpace(), reactions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := schedule.NewRandomRFair(n, 3, 0.4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := FromSchedule(sched, n, rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(p, make(core.Input, n), make(core.Labeling, n), d, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := rt.Run(context.Background(), rounds); err != nil || res.Stabilized {
+		t.Fatalf("Run = %+v, %v; want an oscillation cut at the horizon", res, err)
+	}
+	for v, q := range d.next {
+		if len(q) > 8 {
+			t.Fatalf("node %d queues %d steps after %d rounds", v, len(q), rounds)
+		}
 	}
 }

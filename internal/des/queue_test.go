@@ -271,7 +271,7 @@ func TestRunHorizonWithFarEvents(t *testing.T) {
 		horizonRounds*TicksPerRound + 3*wheelSpan,   // overflow heap
 		horizonRounds*TicksPerRound + 3*wheelSpan*5, // overflow heap, far
 	} {
-		rt, err := New(p, make(core.Input, 4), make(core.Labeling, 4), Synchronous{}, Config{AssumeClean: true})
+		rt, err := New(p, make(core.Input, 4), make(core.Labeling, 4), syncDaemon(4), Config{AssumeClean: true})
 		if err != nil {
 			t.Fatal(err)
 		}

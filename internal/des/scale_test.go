@@ -30,7 +30,7 @@ func TestMillionNodeRingUnderChurn(t *testing.T) {
 	g := p.Graph()
 	x := make(core.Input, n)
 	stable := core.UniformLabeling(g, core.Label(sigma-1))
-	rt, err := New(p, x, stable, Synchronous{}, Config{AssumeClean: true})
+	rt, err := New(p, x, stable, syncDaemon(g.N()), Config{AssumeClean: true})
 	if err != nil {
 		t.Fatal(err)
 	}

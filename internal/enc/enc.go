@@ -301,8 +301,8 @@ type Table struct {
 // degrade every Intern that hashes into it).
 const probeLimit = 64
 
-// NewTable returns a table for keys of wordsPerKey words, pre-sized for
-// about hint states.
+// NewTable returns a table for keys of wordsPerKey words, its index and
+// arena pre-sized for about hint states.
 func NewTable(wordsPerKey, hint int) *Table {
 	cap := 16
 	for cap < hint*2 {
@@ -310,6 +310,7 @@ func NewTable(wordsPerKey, hint int) *Table {
 	}
 	return &Table{
 		w:     wordsPerKey,
+		arena: make([]uint64, 0, hint*wordsPerKey),
 		slots: make([]int32, cap),
 		mask:  uint64(cap - 1),
 	}

@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -233,7 +234,7 @@ func E2TreeProtocol() (Table, error) {
 		rng := rand.New(rand.NewPCG(9, 9))
 		labelings := []core.Labeling{core.UniformLabeling(c.g, 0),
 			core.RandomLabeling(c.g, p.Space(), rng)}
-		worst, err := sim.RoundComplexityWorkers(p, inputs, labelings, 20*n, Workers, func(x core.Input, res sim.Result) error {
+		worst, err := sim.RoundComplexity(context.Background(), p, inputs, labelings, 20*n, Workers, func(x core.Input, res sim.Result) error {
 			for _, y := range res.Outputs {
 				if y != xor(x) {
 					return fmt.Errorf("wrong output on %s", x)

@@ -103,13 +103,12 @@ func (s *Scripted) Activated(t int, dst []graph.NodeID) []graph.NodeID {
 // any node whose inactivity countdown would expire is forcibly activated,
 // so every node runs at least once in every r consecutive steps.
 type RandomRFair struct {
-	n      int
-	r      int
-	p      float64
-	rng    *rand.Rand
-	idle   []int // steps since last activation
-	nextT  int   // next expected query step (schedules are queried in order)
-	frozen bool
+	n     int
+	r     int
+	p     float64
+	rng   *rand.Rand
+	idle  []int // steps since last activation
+	nextT int   // next expected query step (schedules are queried in order)
 }
 
 var _ Schedule = (*RandomRFair)(nil)

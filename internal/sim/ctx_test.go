@@ -52,19 +52,19 @@ func TestRoundComplexityCtxCanceled(t *testing.T) {
 	labelings := []core.Labeling{core.UniformLabeling(g, 0), core.UniformLabeling(g, 1)}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sim.RoundComplexityCtx(ctx, p, inputs, labelings, 100, 2, nil); !errors.Is(err, sim.ErrCanceled) {
+	if _, err := sim.RoundComplexity(ctx, p, inputs, labelings, 100, 2, nil); !errors.Is(err, sim.ErrCanceled) {
 		t.Fatalf("err = %v, want sim.ErrCanceled", err)
 	}
-	// And the uncanceled path still agrees with RoundComplexityWorkers.
-	a, err := sim.RoundComplexityCtx(context.Background(), p, inputs, labelings, 100, 2, nil)
+	// And the uncanceled path agrees across worker counts.
+	a, err := sim.RoundComplexity(context.Background(), p, inputs, labelings, 100, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sim.RoundComplexityWorkers(p, inputs, labelings, 100, 2, nil)
+	b, err := sim.RoundComplexity(context.Background(), p, inputs, labelings, 100, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Fatalf("RoundComplexityCtx = %d, RoundComplexityWorkers = %d", a, b)
+		t.Fatalf("RoundComplexity on 2 workers = %d, on 1 = %d", a, b)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"math/rand/v2"
 	"testing"
@@ -156,7 +157,7 @@ func TestRoundComplexity(t *testing.T) {
 		inputs = append(inputs, core.InputFromUint(v, 3))
 	}
 	// From the all-zero labeling the protocol computes OR.
-	worst, err := RoundComplexity(p, inputs, []core.Labeling{core.UniformLabeling(g, 0)}, 100,
+	worst, err := RoundComplexity(context.Background(), p, inputs, []core.Labeling{core.UniformLabeling(g, 0)}, 100, 0,
 		func(x core.Input, res Result) error {
 			want := core.Bit(0)
 			if x.Uint() != 0 {
@@ -219,22 +220,6 @@ func TestRunUnderRandomRFair(t *testing.T) {
 		if res.Status != LabelStable {
 			t.Fatalf("trial %d: status = %v, want label-stable", trial, res.Status)
 		}
-	}
-}
-
-func TestTraceCallback(t *testing.T) {
-	p := orClique(3)
-	g := p.Graph()
-	var calls int
-	_, err := Run(p, core.Input{1, 0, 0}, core.UniformLabeling(g, 0),
-		schedule.Synchronous{N: 3}, Options{MaxSteps: 50, Trace: func(t int, cfg core.Config) {
-			calls++
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Error("trace callback never invoked")
 	}
 }
 

@@ -43,11 +43,8 @@ type explorer struct {
 }
 
 func newExplorer(p *core.Protocol, x core.Input, r int, trackOutputs bool, opts Options, limit int) (*explorer, error) {
-	if opts.BitstateBits > maxBitstateBits {
-		return nil, fmt.Errorf("verify: bitstate bits %d exceeds the maximum %d", opts.BitstateBits, maxBitstateBits)
-	}
-	if opts.BitstateK > maxBitstateK {
-		return nil, fmt.Errorf("verify: bitstate k %d exceeds the maximum %d", opts.BitstateK, maxBitstateK)
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	g := p.Graph()
 	codec := enc.NewStateCodec(p.Space(), g.M(), g.N(), r, trackOutputs)

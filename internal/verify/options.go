@@ -3,6 +3,7 @@ package verify
 import (
 	"context"
 	"errors"
+	"fmt"
 	"time"
 
 	"stateless/internal/core"
@@ -149,6 +150,19 @@ type Options struct {
 	// the verdict, witness, or state count; leaving it nil — the default —
 	// keeps the hot path free of measurement work.
 	Metrics *obs.Registry
+}
+
+// Validate checks the options that are bounded whatever the instance (the
+// bitstate geometry), so a caller can reject them before any other work.
+// Every entry point checks them too, before anything is allocated.
+func (o Options) Validate() error {
+	if o.BitstateBits > maxBitstateBits {
+		return fmt.Errorf("verify: bitstate bits %d exceeds the maximum %d", o.BitstateBits, maxBitstateBits)
+	}
+	if o.BitstateK > maxBitstateK {
+		return fmt.Errorf("verify: bitstate k %d exceeds the maximum %d", o.BitstateK, maxBitstateK)
+	}
+	return nil
 }
 
 // Verifier metric names (see Options.Metrics).

@@ -22,6 +22,7 @@ import (
 	"stateless/internal/graph"
 	"stateless/internal/obs"
 	"stateless/internal/par"
+	"stateless/internal/schedule"
 )
 
 // Daemon kinds accepted by Options.Daemon.
@@ -265,7 +266,7 @@ func runTrial(ctx context.Context, sc Scenario, seed uint64) (Trial, error) {
 	var daemon des.Daemon
 	switch o.Daemon {
 	case DaemonSync:
-		daemon = des.Synchronous{}
+		daemon, _ = des.FromSchedule(schedule.Synchronous{N: g.N()}, g.N(), 0) // period 1: no error
 	case DaemonPoisson:
 		daemon = des.NewPoisson(o.Rate, seed^streamDay)
 	case DaemonBursty:

@@ -2,7 +2,6 @@ package stateless_test
 
 import (
 	"context"
-	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -12,6 +11,7 @@ import (
 	"stateless/internal/explore"
 	"stateless/internal/graph"
 	"stateless/internal/protocols"
+	"stateless/internal/schedule"
 	"stateless/internal/sim"
 )
 
@@ -356,16 +356,23 @@ func BenchmarkGraphNew(b *testing.B) {
 	})
 }
 
-// BenchmarkSimSync measures single-run step throughput of the reference
-// simulator: sim.RunSynchronous (synchronous schedule, cycle detection on)
-// on SaturatingRing(n, 4) from seeded random labelings, until each run
-// label-stabilizes. At n = 8 a run is a few microseconds, so fixed per-run
-// costs dominate: a cycle-detection table sized by the labeling width
-// (256 KiB) instead of the run length made this row about 15x slower. At
-// n = 4096 the step loop dominates. succ/s is synchronous steps per second.
+// BenchmarkSimSync measures single-run step throughput of sim.Run, the
+// frontend to the discrete-event runtime, with cycle detection on, on
+// SaturatingRing(n, 4) from seeded random labelings, until each run
+// label-stabilizes. The ring rows run the synchronous schedule. At n = 8 a
+// run is a few microseconds, so fixed per-run costs dominate: a
+// cycle-detection table sized by the labeling width (256 KiB) instead of
+// the run length made this row about 15x slower. At n = 4096 the step loop
+// dominates. The roundrobin-64 row runs the round-robin schedule, whose
+// activations the runtime finds by generating the schedule ahead per node,
+// one node per step. succ/s is schedule steps per second.
 func BenchmarkSimSync(b *testing.B) {
-	for _, n := range []int{8, 4096} {
-		p, err := protocols.SaturatingRing(n, 4)
+	for _, bc := range []struct {
+		name       string
+		n          int
+		roundRobin bool
+	}{{"ring-8", 8, false}, {"ring-4096", 4096, false}, {"roundrobin-64", 64, true}} {
+		p, err := protocols.SaturatingRing(bc.n, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -376,11 +383,15 @@ func BenchmarkSimSync(b *testing.B) {
 		for i := range l0s {
 			l0s[i] = core.RandomLabeling(g, p.Space(), rng)
 		}
-		b.Run(fmt.Sprintf("ring-%d", n), func(b *testing.B) {
+		var sched schedule.Schedule = schedule.Synchronous{N: bc.n}
+		if bc.roundRobin {
+			sched = schedule.RoundRobin{N: bc.n}
+		}
+		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			steps := 0
 			for i := 0; i < b.N; i++ {
-				res, err := sim.RunSynchronous(p, x, l0s[i%len(l0s)], 0)
+				res, err := sim.Run(p, x, l0s[i%len(l0s)], sched, sim.Options{DetectCycles: true})
 				if err != nil {
 					b.Fatal(err)
 				}

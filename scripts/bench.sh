@@ -30,9 +30,11 @@
 #                  large simultaneous batches; BenchmarkGraphNew: nodes/s
 #                  of graph.New on a 2^18-node ring, which guards the flat
 #                  CSR build;
-#                  BenchmarkSimSync: synchronous steps/s of
-#                  sim.RunSynchronous on an 8- and a 4096-node ring, which
-#                  guards single-run step throughput — see
+#                  BenchmarkSimSync: steps/s of sim.Run with cycle
+#                  detection, synchronous on an 8- and a 4096-node ring
+#                  and round-robin on a 64-node ring, which guard
+#                  single-run step throughput, the last through the
+#                  schedule-to-daemon generation path — see
 #                  microbench_test.go). Each row is sized by
 #                  time, not iterations (MICROBENCHTIME per run), run
 #                  three times, and the median run is recorded.
