@@ -15,7 +15,8 @@ import (
 
 	"stateless/internal/circuit"
 	"stateless/internal/core"
-	"stateless/internal/graph"
+	"stateless/internal/schedule"
+	"stateless/internal/sim"
 )
 
 func main() {
@@ -47,17 +48,11 @@ func main() {
 		// Start from a fully corrupted labeling: every field of every edge
 		// randomized, counter included. Self-stabilization must recover.
 		l0 := core.RandomLabeling(g, p.Space(), rng)
-		cur := core.NewConfig(g, l0)
-		next := cur.Clone()
-		all := make([]graph.NodeID, g.N())
-		for i := range all {
-			all[i] = graph.NodeID(i)
+		res, err := sim.Run(p, full, l0, schedule.Synchronous{N: g.N()}, sim.Options{MaxSteps: rp.SettleBound()})
+		if err != nil {
+			log.Fatal(err)
 		}
-		for k := 0; k < rp.SettleBound(); k++ {
-			core.Step(p, full, cur, &next, all)
-			cur, next = next, cur
-		}
-		fmt.Printf("input %v: ring output %d, circuit says %d (labels still cycling — output-stabilizing, not label-stabilizing)\n",
-			bits, cur.Outputs[0], c.Eval(bits))
+		fmt.Printf("input %v: ring output %d, circuit says %d (%v after %d steps)\n",
+			bits, res.Outputs[0], c.Eval(bits), res.Status, res.Steps)
 	}
 }

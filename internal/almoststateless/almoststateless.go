@@ -24,8 +24,6 @@ import (
 	"fmt"
 
 	"stateless/internal/core"
-	"stateless/internal/enc"
-	"stateless/internal/obs"
 	"stateless/internal/stateful"
 )
 
@@ -93,94 +91,6 @@ func (p *Protocol) Step(cur Config, active []int) Config {
 	return next
 }
 
-// RunResult mirrors stateful.RunResult.
-type RunResult struct {
-	Stable   bool
-	Steps    int
-	CycleLen int
-	Final    Config
-}
-
-// Record attaches the run's outcome to m (no-op when m is nil), in the
-// same shape as sim.Result.Record, under the "almoststateless/" prefix.
-func (r RunResult) Record(m *obs.Registry) {
-	if m == nil {
-		return
-	}
-	m.Counter("almoststateless/runs").Inc()
-	m.Counter("almoststateless/steps").Add(int64(r.Steps))
-	if r.Stable {
-		m.Counter("almoststateless/status/stable").Inc()
-	} else if r.CycleLen > 0 {
-		m.Counter("almoststateless/status/oscillating").Inc()
-	} else {
-		m.Counter("almoststateless/status/exhausted").Inc()
-	}
-	if r.CycleLen > 0 {
-		m.Histogram("almoststateless/cycle_len", 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024).Observe(int64(r.CycleLen))
-	}
-}
-
-// RunSynchronous runs with cycle detection over (labels, memories).
-func (p *Protocol) RunSynchronous(init Config, maxSteps int) (RunResult, error) {
-	if len(init.Labels) != p.N || len(init.Mems) != p.N {
-		return RunResult{}, errors.New("almoststateless: bad config shape")
-	}
-	all := make([]int, p.N)
-	for i := range all {
-		all[i] = i
-	}
-	cur := init.Clone()
-	// Packing is injective only for in-space values; reject stray init
-	// entries up front (reactions are contractually in-space).
-	for i := 0; i < p.N; i++ {
-		if uint64(cur.Labels[i]) >= p.LabelSize {
-			return RunResult{}, fmt.Errorf("almoststateless: init label %d = %d outside Σ of size %d", i, cur.Labels[i], p.LabelSize)
-		}
-		if uint64(cur.Mems[i]) >= p.MemSize {
-			return RunResult{}, fmt.Errorf("almoststateless: init memory %d = %d outside M of size %d", i, cur.Mems[i], p.MemSize)
-		}
-	}
-	// Packed cycle keys over the joint (labels, memories) vector, treated
-	// as one 2N-long labeling over the wider of the two spaces. The
-	// configuration after step t is interned with ID t, so a repeat's ID
-	// is the step it first occurred at.
-	space := p.LabelSize
-	if p.MemSize > space {
-		space = p.MemSize
-	}
-	codec := enc.NewLabelCodec(core.MustLabelSpace(space), 2*p.N)
-	seen := enc.NewTable(codec.Words(), 0)
-	joint := make(core.Labeling, 0, 2*p.N)
-	var keyBuf []uint64
-	pack := func(c Config) []uint64 {
-		joint = append(append(joint[:0], c.Labels...), c.Mems...)
-		keyBuf = codec.PackLabels(joint, keyBuf)
-		return keyBuf
-	}
-	seen.Intern(pack(cur))
-	for t := 1; t <= maxSteps; t++ {
-		next := p.Step(cur, all)
-		if p.isFixed(cur, next) {
-			return RunResult{Stable: true, Steps: t, Final: next}, nil
-		}
-		cur = next
-		if id, fresh := seen.Intern(pack(cur)); !fresh {
-			return RunResult{Steps: t, CycleLen: t - id, Final: cur}, nil
-		}
-	}
-	return RunResult{Steps: maxSteps, Final: cur}, nil
-}
-
-func (p *Protocol) isFixed(cur, next Config) bool {
-	for i := 0; i < p.N; i++ {
-		if cur.Labels[i] != next.Labels[i] || cur.Mems[i] != next.Mems[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ToStateful folds the memory into the emitted label: the stateful
 // protocol's label space is Σ' = Σ × M, each node publishing (label, mem)
 // and recovering its own memory from its own published label — legal for
@@ -226,14 +136,24 @@ func (p *Protocol) ToStateless() (*core.Protocol, error) {
 
 // LiftConfig maps an almost-stateless configuration to the stateful
 // protocol's configuration (and, composed with stateful.MetanodeStart, to
-// the stateless protocol's labeling).
-func (p *Protocol) LiftConfig(c Config) []core.Label {
-	out := make([]core.Label, p.N)
-	for i := 0; i < p.N; i++ {
-		out[i] = c.Labels[i]%core.Label(p.LabelSize) +
-			(c.Mems[i]%core.Label(p.MemSize))*core.Label(p.LabelSize)
+// the stateless protocol's labeling). A run of the almost-stateless
+// protocol is stateful.RunSynchronous of ToStateful on the lifted
+// configuration: stability there means no label and no memory changes.
+func (p *Protocol) LiftConfig(c Config) ([]core.Label, error) {
+	if len(c.Labels) != p.N || len(c.Mems) != p.N {
+		return nil, errors.New("almoststateless: bad config shape")
 	}
-	return out
+	out := make([]core.Label, p.N)
+	for i := range out {
+		if uint64(c.Labels[i]) >= p.LabelSize {
+			return nil, fmt.Errorf("almoststateless: init label %d = %d outside Σ of size %d", i, c.Labels[i], p.LabelSize)
+		}
+		if uint64(c.Mems[i]) >= p.MemSize {
+			return nil, fmt.Errorf("almoststateless: init memory %d = %d outside M of size %d", i, c.Mems[i], p.MemSize)
+		}
+		out[i] = c.Labels[i] + c.Mems[i]*core.Label(p.LabelSize)
+	}
+	return out, nil
 }
 
 // ToggleClock returns the canonical separation witness: n nodes, each with

@@ -1,6 +1,8 @@
 package almoststateless
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"stateless/internal/core"
@@ -8,6 +10,19 @@ import (
 	"stateless/internal/sim"
 	"stateless/internal/stateful"
 )
+
+// run runs p synchronously from c as its stateful folding.
+func run(p *Protocol, c Config, maxSteps int) (stateful.RunResult, error) {
+	sp, err := p.ToStateful()
+	if err != nil {
+		return stateful.RunResult{}, err
+	}
+	lifted, err := p.LiftConfig(c)
+	if err != nil {
+		return stateful.RunResult{}, err
+	}
+	return sp.RunSynchronous(lifted, maxSteps)
+}
 
 func TestToggleClockOscillates(t *testing.T) {
 	p, err := ToggleClock(1)
@@ -17,7 +32,7 @@ func TestToggleClockOscillates(t *testing.T) {
 	if p.MemoryBits() != 1 {
 		t.Errorf("memory bits %d, want 1", p.MemoryBits())
 	}
-	res, err := p.RunSynchronous(Config{Labels: []core.Label{0}, Mems: []core.Label{0}}, 100)
+	res, err := run(p, Config{Labels: []core.Label{0}, Mems: []core.Label{0}}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +98,10 @@ func TestToStatefulBisimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Labels: []core.Label{3, 1}, Mems: []core.Label{2, 0}}
-	scur := p.LiftConfig(cfg)
+	scur, err := p.LiftConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	snext := make([]core.Label, p.N)
 	all := []int{0, 1}
 	for step := 0; step < 20; step++ {
@@ -117,9 +135,13 @@ func TestToStatelessPreservesOscillation(t *testing.T) {
 	if pure.Graph().N() != 6 {
 		t.Fatalf("metanode graph has %d nodes, want 6", pure.Graph().N())
 	}
-	start := stateful.MetanodeStart(pure, p.LiftConfig(Config{
+	lifted, err := p.LiftConfig(Config{
 		Labels: []core.Label{0, 0}, Mems: []core.Label{0, 1},
-	}))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := stateful.MetanodeStart(pure, lifted)
 	res, err := sim.RunSynchronous(pure, make(core.Input, 6), start, 20000)
 	if err != nil {
 		t.Fatal(err)
@@ -140,9 +162,13 @@ func TestToStatelessPreservesStabilization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := stateful.MetanodeStart(pure, p.LiftConfig(Config{
+	lifted, err := p.LiftConfig(Config{
 		Labels: []core.Label{1, 0}, Mems: []core.Label{1, 1},
-	}))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := stateful.MetanodeStart(pure, lifted)
 	res, err := sim.RunSynchronous(pure, make(core.Input, 6), start, 20000)
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +193,17 @@ func TestValidate(t *testing.T) {
 		t.Error("invalid protocol should fail to fold")
 	}
 	p, _ := ToggleClock(1)
-	if _, err := p.RunSynchronous(Config{}, 5); err == nil {
-		t.Error("bad config shape should fail")
+	for _, tc := range []struct {
+		c    Config
+		want string
+	}{
+		{Config{}, "almoststateless: bad config shape"},
+		{Config{Labels: []core.Label{2}, Mems: []core.Label{0}}, "almoststateless: init label 0 = 2 outside Σ of size 2"},
+		{Config{Labels: []core.Label{0}, Mems: []core.Label{2}}, "almoststateless: init memory 0 = 2 outside M of size 2"},
+	} {
+		if _, err := p.LiftConfig(tc.c); err == nil || err.Error() != tc.want {
+			t.Errorf("LiftConfig(%+v) = %v, want %q", tc.c, err, tc.want)
+		}
 	}
 }
 
@@ -177,14 +212,74 @@ func TestRunSynchronousStable(t *testing.T) {
 		func(_ []core.Label, _ core.Label) (core.Label, core.Label) { return 2, 1 },
 		func(labels []core.Label, _ core.Label) (core.Label, core.Label) { return labels[0], 0 },
 	}}
-	res, err := p.RunSynchronous(Config{Labels: make([]core.Label, 2), Mems: make([]core.Label, 2)}, 100)
+	res, err := run(p, Config{Labels: make([]core.Label, 2), Mems: make([]core.Label, 2)}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Stable {
 		t.Errorf("want stable, got %+v", res)
 	}
-	if res.Final.Labels[0] != 2 || res.Final.Labels[1] != 2 {
-		t.Error("wrong fixed point")
+	// Node 0 settles at (label 2, mem 1), node 1 at (label 2, mem 0).
+	if res.Final[0] != 2+1*3 || res.Final[1] != 2 {
+		t.Errorf("wrong fixed point %v", res.Final)
+	}
+}
+
+// TestFoldedRunMatchesStep runs random protocols both ways: the folded
+// stateful run, and synchronous Protocol.Step with a configuration log
+// that stops at the first step changing nothing or at a recurrence. The
+// verdict, cycle length and final configuration must agree.
+func TestFoldedRunMatchesStep(t *testing.T) {
+	rng := rand.New(rand.NewPCG(26, 1))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.IntN(3)
+		ls, ms := 1+rng.Uint64N(3), 1+rng.Uint64N(3)
+		p := &Protocol{N: n, LabelSize: ls, MemSize: ms, Reactions: make([]Reaction, n)}
+		for i := range p.Reactions {
+			table := make(map[string][2]core.Label)
+			p.Reactions[i] = func(labels []core.Label, mem core.Label) (core.Label, core.Label) {
+				key := fmt.Sprint(labels, mem)
+				if _, ok := table[key]; !ok {
+					table[key] = [2]core.Label{core.Label(rng.Uint64N(ls)), core.Label(rng.Uint64N(ms))}
+				}
+				return table[key][0], table[key][1]
+			}
+		}
+		cfg := Config{Labels: make([]core.Label, n), Mems: make([]core.Label, n)}
+		for i := range n {
+			cfg.Labels[i], cfg.Mems[i] = core.Label(rng.Uint64N(ls)), core.Label(rng.Uint64N(ms))
+		}
+		got, err := run(p, cfg, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+		seen := map[string]int{fmt.Sprint(cfg): 0}
+		stable, cycleLen := false, 0
+		for step := 1; ; step++ {
+			next := p.Step(cfg, all)
+			if fmt.Sprint(next) == fmt.Sprint(cfg) {
+				stable = true
+				break
+			}
+			cfg = next
+			if first, ok := seen[fmt.Sprint(cfg)]; ok {
+				cycleLen = step - first
+				break
+			}
+			seen[fmt.Sprint(cfg)] = step
+		}
+		want, err := p.LiftConfig(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Stable != stable || got.CycleLen != cycleLen || fmt.Sprint(got.Final) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: folded run (stable %v, cycle %d, final %v), Step (stable %v, cycle %d, final %v)",
+				trial, got.Stable, got.CycleLen, got.Final, stable, cycleLen, want)
+		}
 	}
 }

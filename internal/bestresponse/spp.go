@@ -324,11 +324,3 @@ func BadGadget() *SPP {
 		},
 	}
 }
-
-// DisagreeOscillationSchedule returns the 2-fair schedule under which
-// DISAGREE's best-response dynamics oscillates forever from the
-// no-routes labeling: activate both non-destination nodes together; they
-// perpetually chase each other between their two routes.
-func DisagreeOscillationSchedule() [][]graph.NodeID {
-	return [][]graph.NodeID{{1, 2}, {0, 1, 2}}
-}

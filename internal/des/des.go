@@ -490,7 +490,8 @@ func New(p *core.Protocol, x core.Input, l0 core.Labeling, daemon Daemon, cfg Co
 func (rt *Runtime) Now() uint64 { return rt.now }
 
 // Labels returns the live labeling. Callers must not modify it; fault
-// injectors use SetLabel so dirty propagation stays correct.
+// injectors use CorruptNode, Crash and Rejoin so dirty propagation stays
+// correct.
 func (rt *Runtime) Labels() core.Labeling { return rt.labels }
 
 // Outputs returns the live outputs (see Labels).
@@ -564,16 +565,9 @@ func (rt *Runtime) ScheduleFault(at uint64, fn func(*Runtime)) {
 	rt.push(at, -int32(len(rt.faults)))
 }
 
-// SetLabel overwrites edge id with l, marking both endpoints dirty: the
+// setLabel overwrites edge id with l, marking both endpoints dirty: the
 // reader must react to the corrupted value and the writer will want to
-// restore its intended one. This is the label-corruption primitive of the
-// fault injectors; it counts as one fault.
-func (rt *Runtime) SetLabel(id graph.EdgeID, l core.Label) {
-	rt.noteFault()
-	rt.setLabel(id, l)
-}
-
-// setLabel is SetLabel without the fault accounting.
+// restore its intended one.
 func (rt *Runtime) setLabel(id graph.EdgeID, l core.Label) {
 	if rt.labels[id] == l {
 		return

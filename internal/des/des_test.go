@@ -442,7 +442,7 @@ func TestRunRejectsHorizonPastTickRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.ScheduleFault(100, func(rt *Runtime) { rt.SetLabel(0, 1) })
+	rt.ScheduleFault(100, func(rt *Runtime) { rt.noteFault(); rt.setLabel(0, 1) })
 	res, err := rt.Run(context.Background(), 1<<52-1)
 	if err != nil {
 		t.Fatal(err)

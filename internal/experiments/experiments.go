@@ -276,7 +276,7 @@ func E3UnidirectionalRounds() (Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			itoa(c.n), utoa(c.q), itoa(res.StabilizedAt),
-			itoa(c.n * (int(c.q) - 1)), itoa(c.n * int(c.q)),
+			itoa(c.n * (int(c.q) - 1)), utoa(protocols.UnidirectionalRoundBound(c.n, c.q)),
 		})
 	}
 	return t, nil
@@ -429,20 +429,13 @@ func E5BPRing() (Table, error) {
 	return t, nil
 }
 
+// settleRing returns node 0's output after settle synchronous steps.
 func settleRing(p *core.Protocol, x core.Input, l0 core.Labeling, settle int) (core.Bit, error) {
-	g := p.Graph()
-	cur := core.NewConfig(g, l0)
-	next := cur.Clone()
-	all := make([]graph.NodeID, g.N())
-	for i := range all {
-		all[i] = graph.NodeID(i)
+	res, err := sim.Run(p, x, l0, schedule.Synchronous{N: p.Graph().N()}, sim.Options{MaxSteps: settle})
+	if err != nil {
+		return 0, err
 	}
-	stepper := core.NewStepper(p)
-	for k := 0; k < settle; k++ {
-		stepper.Step(x, cur, &next, all)
-		cur, next = next, cur
-	}
-	return cur.Outputs[0], nil
+	return res.Outputs[0], nil
 }
 
 // E6CircuitRing reproduces Theorem 5.4: circuits compile to

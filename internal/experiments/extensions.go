@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"slices"
+
 	"stateless/internal/almoststateless"
 	"stateless/internal/core"
 	"stateless/internal/graph"
@@ -24,9 +26,17 @@ func E13AlmostStateless() (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	cres, err := clock.RunSynchronous(almoststateless.Config{
+	folded, err := clock.ToStateful()
+	if err != nil {
+		return t, err
+	}
+	lifted, err := clock.LiftConfig(almoststateless.Config{
 		Labels: []core.Label{0}, Mems: []core.Label{0},
-	}, 1000)
+	})
+	if err != nil {
+		return t, err
+	}
+	cres, err := folded.RunSynchronous(lifted, 1000)
 	if err != nil {
 		return t, err
 	}
@@ -57,9 +67,13 @@ func E13AlmostStateless() (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	start := stateful.MetanodeStart(pure, clock2.LiftConfig(almoststateless.Config{
+	lifted, err = clock2.LiftConfig(almoststateless.Config{
 		Labels: []core.Label{0, 0}, Mems: []core.Label{0, 1},
-	}))
+	})
+	if err != nil {
+		return t, err
+	}
+	start := stateful.MetanodeStart(pure, lifted)
 	mres, err := sim.RunSynchronous(pure, make(core.Input, pure.Graph().N()), start, 50000)
 	if err != nil {
 		return t, err
@@ -126,12 +140,7 @@ func E14RandomizedSymmetryBreaking() (Table, error) {
 		}
 		median := 0
 		if len(rounds) > 0 {
-			// insertion sort (tiny slice)
-			for i := 1; i < len(rounds); i++ {
-				for j := i; j > 0 && rounds[j] < rounds[j-1]; j-- {
-					rounds[j], rounds[j-1] = rounds[j-1], rounds[j]
-				}
-			}
+			slices.Sort(rounds)
 			median = rounds[len(rounds)/2]
 		}
 		t.Rows = append(t.Rows, []string{

@@ -84,22 +84,6 @@ func (g *Graph) Radius() int {
 	return radius
 }
 
-// Diameter returns max over sources of eccentricity, or -1 if not strongly
-// connected.
-func (g *Graph) Diameter() int {
-	diam := -1
-	for v := 0; v < g.n; v++ {
-		ecc := g.Eccentricity(NodeID(v))
-		if ecc == -1 {
-			return -1
-		}
-		if ecc > diam {
-			diam = ecc
-		}
-	}
-	return diam
-}
-
 // Tree is a BFS spanning tree rooted at Root. Parent[Root] == -1. For an
 // OutTree, Parent[v] is v's predecessor on a directed root→v path; for an
 // InTree (tree of directed paths v→root), Parent[v] is v's successor on a

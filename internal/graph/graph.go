@@ -47,6 +47,7 @@ type Graph struct {
 	// this order.
 	inOff, outOff []int32
 	inIDs, outIDs []EdgeID
+	maxDegree     int // see MaxDegree
 }
 
 // Errors returned by graph constructors.
@@ -108,6 +109,7 @@ func New(n int, edges []Edge) (*Graph, error) {
 			}
 		}
 		slices.SortFunc(g.In(NodeID(v)), byTail)
+		g.maxDegree = max(g.maxDegree, len(out)+g.InDegree(NodeID(v)))
 	}
 	return g, nil
 }
@@ -182,14 +184,8 @@ func (g *Graph) OutDegree(v NodeID) int { return int(g.outOff[v+1] - g.outOff[v]
 // MaxDegree returns Δ(G) = max over nodes of (in-degree + out-degree)/...
 // Following the paper's Theorem 5.10, the degree of a node counts both
 // incoming and outgoing edges; for bidirectional topologies this is twice
-// the undirected degree. We report max(in+out).
-func (g *Graph) MaxDegree() int {
-	maxDeg := 0
-	for v := range g.n {
-		maxDeg = max(maxDeg, g.InDegree(NodeID(v))+g.OutDegree(NodeID(v)))
-	}
-	return maxDeg
-}
+// the undirected degree. We report max(in+out), computed once by New.
+func (g *Graph) MaxDegree() int { return g.maxDegree }
 
 // EdgeIDOf returns the EdgeID of the edge from→to, if present.
 func (g *Graph) EdgeIDOf(from, to NodeID) (EdgeID, bool) {

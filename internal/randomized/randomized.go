@@ -23,11 +23,13 @@
 // randomization does buy, and what the tests verify, is symmetry
 // breaking: the deterministic dynamics are confined to rotation-invariant
 // configurations forever, while coin flips escape them immediately.
+//
+// Runner keeps its own step loop because internal/des runs deterministic
+// reactions only: a randomized node flips a coin per reaction.
 package randomized
 
 import (
 	"errors"
-	"fmt"
 	"math/rand/v2"
 
 	"stateless/internal/core"
@@ -65,19 +67,6 @@ func New(g *graph.Graph, space core.LabelSpace, seed uint64, reactions []Reactio
 		}
 	}
 	return &Protocol{g: g, space: space, reactions: reactions, seed: seed}, nil
-}
-
-// NewUniform builds a protocol in which every node runs the same
-// randomized reaction.
-func NewUniform(g *graph.Graph, space core.LabelSpace, seed uint64, r Reaction) (*Protocol, error) {
-	if g == nil {
-		return nil, errors.New("randomized: nil graph")
-	}
-	reactions := make([]Reaction, g.N())
-	for i := range reactions {
-		reactions[i] = r
-	}
-	return New(g, space, seed, reactions)
 }
 
 // Graph returns the protocol's graph.
@@ -135,33 +124,6 @@ func (r *Runner) Step(active []graph.NodeID) {
 
 // Labels returns a copy of the current labeling.
 func (r *Runner) Labels() core.Labeling { return r.cur.Labels.Clone() }
-
-// RunUntilStable steps synchronously until the labeling is unchanged for
-// `window` consecutive rounds (randomized protocols have no deterministic
-// fixed-point test: a label-stable-looking configuration may still be
-// perturbed by future coin flips, so stability is declared statistically).
-// Returns the number of rounds, or an error after maxSteps.
-func (r *Runner) RunUntilStable(window, maxSteps int) (int, error) {
-	g := r.p.g
-	all := make([]graph.NodeID, g.N())
-	for i := range all {
-		all[i] = graph.NodeID(i)
-	}
-	quiet := 0
-	for t := 1; t <= maxSteps; t++ {
-		before := r.cur.Labels.Clone()
-		r.Step(all)
-		if before.Equal(r.cur.Labels) {
-			quiet++
-			if quiet >= window {
-				return t - window, nil
-			}
-		} else {
-			quiet = 0
-		}
-	}
-	return 0, fmt.Errorf("randomized: no stability within %d steps", maxSteps)
-}
 
 // --- Anonymous-ring symmetry breaking -----------------------------------
 
@@ -272,40 +234,6 @@ func ringInIndices(g *graph.Graph, j int) (ccwIdx, cwIdx int, err error) {
 		return 0, 0, errors.New("randomized: not a bidirectional ring")
 	}
 	return ci, wi, nil
-}
-
-// CandidateSet extracts the candidate nodes from a labeling of the MIS
-// ring protocol.
-func CandidateSet(g *graph.Graph, l core.Labeling) []graph.NodeID {
-	var out []graph.NodeID
-	for v := 0; v < g.N(); v++ {
-		c, _, _ := misUnpack(l[g.Out(graph.NodeID(v))[0]])
-		if c == 1 {
-			out = append(out, graph.NodeID(v))
-		}
-	}
-	return out
-}
-
-// IsMaximalIndependentSet checks the MIS property of a candidate set on
-// the ring: no two adjacent candidates, and every non-candidate has a
-// candidate neighbor.
-func IsMaximalIndependentSet(n int, candidates []graph.NodeID) bool {
-	isC := make([]bool, n)
-	for _, v := range candidates {
-		isC[v] = true
-	}
-	for v := 0; v < n; v++ {
-		left := (v - 1 + n) % n
-		right := (v + 1) % n
-		if isC[v] && (isC[left] || isC[right]) {
-			return false
-		}
-		if !isC[v] && !isC[left] && !isC[right] {
-			return false
-		}
-	}
-	return true
 }
 
 // RotationallySymmetric reports whether every node emits the same label —

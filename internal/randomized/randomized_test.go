@@ -1,6 +1,7 @@
 package randomized
 
 import (
+	"errors"
 	"testing"
 
 	"stateless/internal/core"
@@ -78,7 +79,7 @@ func TestMISIsFixedPointWhenReached(t *testing.T) {
 			t.Fatalf("step %d: a planted MIS must be a fixed point", step)
 		}
 	}
-	if !IsMaximalIndependentSet(n, CandidateSet(g, r.Labels())) {
+	if !isMaximalIndependentSet(n, candidateSet(g, r.Labels())) {
 		t.Fatal("planted configuration is not recognized as a MIS")
 	}
 }
@@ -107,7 +108,7 @@ func TestDeterministicVariantStaysSymmetricForever(t *testing.T) {
 			if !RotationallySymmetric(p.Graph(), r.Labels()) {
 				t.Fatalf("n=%d step %d: deterministic uniform protocol broke symmetry", n, step)
 			}
-			if IsMaximalIndependentSet(n, CandidateSet(p.Graph(), r.Labels())) {
+			if isMaximalIndependentSet(n, candidateSet(p.Graph(), r.Labels())) {
 				t.Fatalf("n=%d step %d: symmetric configuration cannot be a MIS", n, step)
 			}
 		}
@@ -153,7 +154,7 @@ func TestIsMaximalIndependentSet(t *testing.T) {
 		{6, []graph.NodeID{}, false},
 	}
 	for _, tt := range tests {
-		if got := IsMaximalIndependentSet(tt.n, tt.cands); got != tt.want {
+		if got := isMaximalIndependentSet(tt.n, tt.cands); got != tt.want {
 			t.Errorf("n=%d %v: got %v, want %v", tt.n, tt.cands, got, tt.want)
 		}
 	}
@@ -163,7 +164,7 @@ func TestValidation(t *testing.T) {
 	if _, err := MISRing(2, 1, 0.5); err == nil {
 		t.Error("n<3 should fail")
 	}
-	if _, err := NewUniform(nil, core.BinarySpace(), 1, nil); err == nil {
+	if _, err := newUniform(nil, core.BinarySpace(), 1, nil); err == nil {
 		t.Error("nil graph should fail")
 	}
 	g := graph.Ring(3)
@@ -182,17 +183,49 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-func TestRunUntilStableTimeout(t *testing.T) {
-	// The deterministic oscillating variant must report failure.
-	p, err := MISRing(5, 1, 1.0)
-	if err != nil {
-		t.Fatal(err)
+// newUniform builds a protocol in which every node runs the same
+// randomized reaction.
+func newUniform(g *graph.Graph, space core.LabelSpace, seed uint64, r Reaction) (*Protocol, error) {
+	if g == nil {
+		return nil, errors.New("randomized: nil graph")
 	}
-	r, err := NewRunner(p, make(core.Input, 5), core.UniformLabeling(p.Graph(), 0))
-	if err != nil {
-		t.Fatal(err)
+	reactions := make([]Reaction, g.N())
+	for i := range reactions {
+		reactions[i] = r
 	}
-	if _, err := r.RunUntilStable(5, 200); err == nil {
-		t.Error("deterministic variant should never stabilize from symmetry")
+	return New(g, space, seed, reactions)
+}
+
+// candidateSet extracts the candidate nodes from a labeling of the MIS
+// ring protocol.
+func candidateSet(g *graph.Graph, l core.Labeling) []graph.NodeID {
+	var out []graph.NodeID
+	for v := 0; v < g.N(); v++ {
+		c, _, _ := misUnpack(l[g.Out(graph.NodeID(v))[0]])
+		if c == 1 {
+			out = append(out, graph.NodeID(v))
+		}
 	}
+	return out
+}
+
+// isMaximalIndependentSet checks the MIS property of a candidate set on
+// the ring: no two adjacent candidates, and every non-candidate has a
+// candidate neighbor.
+func isMaximalIndependentSet(n int, candidates []graph.NodeID) bool {
+	isC := make([]bool, n)
+	for _, v := range candidates {
+		isC[v] = true
+	}
+	for v := 0; v < n; v++ {
+		left := (v - 1 + n) % n
+		right := (v + 1) % n
+		if isC[v] && (isC[left] || isC[right]) {
+			return false
+		}
+		if !isC[v] && !isC[left] && !isC[right] {
+			return false
+		}
+	}
+	return true
 }

@@ -121,8 +121,7 @@ const (
 var stabBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536}
 
 // Record attaches the run's outcome to m (no-op when nil): run/step and
-// per-status counters, rounds-to-stabilize and cycle-length histograms —
-// the shape the stateful and almost-stateless runners report too.
+// per-status counters, rounds-to-stabilize and cycle-length histograms.
 func (r Result) Record(m *obs.Registry) {
 	if m == nil {
 		return
@@ -218,25 +217,6 @@ func Run(p *core.Protocol, x core.Input, l0 core.Labeling, sched schedule.Schedu
 // detection, the setting of all Part II results.
 func RunSynchronous(p *core.Protocol, x core.Input, l0 core.Labeling, maxSteps int) (Result, error) {
 	return Run(p, x, l0, schedule.Synchronous{N: p.Graph().N()}, Options{MaxSteps: maxSteps, DetectCycles: true})
-}
-
-// ComputesOn checks that from initial labeling l0 under the synchronous
-// schedule, the run output-stabilizes with every node's output equal to
-// want. It returns the number of rounds to stabilization.
-func ComputesOn(p *core.Protocol, x core.Input, l0 core.Labeling, want core.Bit, maxSteps int) (int, error) {
-	res, err := RunSynchronous(p, x, l0, maxSteps)
-	if err != nil {
-		return 0, err
-	}
-	if res.Status != LabelStable && res.Status != OutputStable {
-		return 0, fmt.Errorf("sim: did not stabilize: %v after %d steps", res.Status, res.Steps)
-	}
-	for v, y := range res.Outputs {
-		if y != want {
-			return 0, fmt.Errorf("sim: node %d output %d, want %d (input %s)", v, y, want, x)
-		}
-	}
-	return res.StabilizedAt, nil
 }
 
 // RoundComplexity measures max over the given initial labelings and inputs

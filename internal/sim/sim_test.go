@@ -134,21 +134,6 @@ func TestRunInputValidation(t *testing.T) {
 	}
 }
 
-func TestComputesOn(t *testing.T) {
-	p := orClique(3)
-	g := p.Graph()
-	rounds, err := ComputesOn(p, core.Input{1, 0, 0}, core.UniformLabeling(g, 0), 1, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rounds < 1 {
-		t.Errorf("rounds = %d, want ≥ 1", rounds)
-	}
-	if _, err := ComputesOn(p, core.Input{1, 0, 0}, core.UniformLabeling(g, 0), 0, 100); err == nil {
-		t.Error("wrong expected output should fail")
-	}
-}
-
 func TestRoundComplexity(t *testing.T) {
 	p := orClique(3)
 	g := p.Graph()

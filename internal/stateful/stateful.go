@@ -5,6 +5,9 @@
 // stateful stabilization (Theorem B.11), and the metanode construction
 // that turns any stateful protocol on K_n into a stateless protocol on
 // K_{3n} with identical stabilization behaviour (Theorem B.14).
+//
+// RunSynchronous keeps its own step loop because internal/des runs
+// stateless reactions only: a stateful node reads its own label.
 package stateful
 
 import (
@@ -14,7 +17,6 @@ import (
 	"stateless/internal/core"
 	"stateless/internal/enc"
 	"stateless/internal/graph"
-	"stateless/internal/obs"
 )
 
 // Protocol is a stateful protocol on the clique K_n in which every node
@@ -69,27 +71,6 @@ type RunResult struct {
 	Steps    int
 	CycleLen int // >0 when a non-fixed-point cycle was found
 	Final    []core.Label
-}
-
-// Record attaches the run's outcome to m (no-op when m is nil), in the
-// same shape as sim.Result.Record: run/step/outcome counters plus a
-// cycle-length histogram under the "stateful/" prefix.
-func (r RunResult) Record(m *obs.Registry) {
-	if m == nil {
-		return
-	}
-	m.Counter("stateful/runs").Inc()
-	m.Counter("stateful/steps").Add(int64(r.Steps))
-	if r.Stable {
-		m.Counter("stateful/status/stable").Inc()
-	} else if r.CycleLen > 0 {
-		m.Counter("stateful/status/oscillating").Inc()
-	} else {
-		m.Counter("stateful/status/exhausted").Inc()
-	}
-	if r.CycleLen > 0 {
-		m.Histogram("stateful/cycle_len", 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024).Observe(int64(r.CycleLen))
-	}
 }
 
 // RunSynchronous runs the protocol under the synchronous schedule with
