@@ -164,11 +164,14 @@ func TestHashStoreConcurrent(t *testing.T) {
 					order[j] = (g*keys/workers + j) % keys
 				}
 				rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
-				block := make([]uint64, 64*w)
-				bids := make([]int32, 64)
-				bfresh := make([]bool, 64)
+				// Batches of up to 200 keys span several of
+				// InternBatch's lookahead windows.
+				const maxBatch = 200
+				block := make([]uint64, maxBatch*w)
+				bids := make([]int32, maxBatch)
+				bfresh := make([]bool, maxBatch)
 				for j := 0; j < len(order); {
-					n := min(1+rng.IntN(64), len(order)-j)
+					n := min(1+rng.IntN(maxBatch), len(order)-j)
 					for k := 0; k < n; k++ {
 						key(order[j+k], block[k*w:(k+1)*w])
 					}
@@ -533,23 +536,46 @@ func FuzzCanonicalizeRotation(f *testing.F) {
 
 // TestInternBatchMatchesIntern feeds the same key stream — duplicates
 // inside batches included — through per-key Intern on one store and
-// InternBatch on another, for both backends: IDs, freshness, the final
-// visited set and the probe telemetry must agree.
+// InternBatch on another, for the dense store and for the hash store at one
+// and three words per key: IDs, freshness, the final visited set and the
+// probe telemetry must agree. Batches run up to 300 keys, past the hash
+// store's internWindow-key lookahead as the engine's blocks of up to
+// 2^n − 1 successors do; some duplicates straddle a window boundary, and
+// the 2^14-key space grows every shard past its first rehash, so keys are
+// inserted and shards rehashed between a window's home-slot loads and its
+// resolution.
 func TestInternBatchMatchesIntern(t *testing.T) {
-	rng := rand.New(rand.NewPCG(21, 4))
-	for name, mk := range map[string]func() Store{
-		"dense": func() Store { return NewDense(12) },
-		"hash":  func() Store { return NewHash(1) },
+	for _, tc := range []struct {
+		name string
+		w    int
+		mk   func() Store
+	}{
+		{"dense", 1, func() Store { return NewDense(14) }},
+		{"hash/w=1", 1, func() Store { return NewHash(1) }},
+		{"hash/w=3", 3, func() Store { return NewHash(3) }},
 	} {
-		single, batched := mk(), mk()
+		rng := rand.New(rand.NewPCG(21, uint64(tc.w)))
+		w := tc.w
+		single, batched := tc.mk(), tc.mk()
 		for round := 0; round < 200; round++ {
-			count := 1 + rng.IntN(80)
-			block := make([]uint64, count)
-			for i := range block {
-				block[i] = rng.Uint64N(1 << 12)
+			count := 1 + rng.IntN(300)
+			vals := make([]uint64, count)
+			for i := range vals {
+				vals[i] = rng.Uint64N(1 << 14)
 			}
 			if count > 2 && rng.IntN(2) == 0 {
-				block[count-1] = block[0] // force an in-batch duplicate
+				vals[count-1] = vals[0] // force an in-batch duplicate
+			}
+			if count > internWindow && rng.IntN(2) == 0 {
+				// A duplicate on each side of a window boundary.
+				vals[internWindow+rng.IntN(count-internWindow)] = vals[rng.IntN(internWindow)]
+			}
+			block := make([]uint64, count*w)
+			for i, v := range vals {
+				block[i*w] = v
+				for j := 1; j < w; j++ {
+					block[i*w+j] = v*0x9e3779b97f4a7c15 ^ uint64(j)
+				}
 			}
 			ids := make([]int32, count)
 			fresh := make([]bool, count)
@@ -557,25 +583,25 @@ func TestInternBatchMatchesIntern(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < count; i++ {
-				id, fr, err := single.Intern(block[i : i+1])
+				id, fr, err := single.Intern(block[i*w : (i+1)*w])
 				if err != nil {
 					t.Fatal(err)
 				}
 				if id != ids[i] || fr != fresh[i] {
 					t.Fatalf("%s round %d key %d (%d): batch (%d,%v) vs single (%d,%v)",
-						name, round, i, block[i], ids[i], fresh[i], id, fr)
+						tc.name, round, i, vals[i], ids[i], fresh[i], id, fr)
 				}
 			}
 		}
 		if single.Len() != batched.Len() {
-			t.Fatalf("%s: Len %d (single) vs %d (batched)", name, single.Len(), batched.Len())
+			t.Fatalf("%s: Len %d (single) vs %d (batched)", tc.name, single.Len(), batched.Len())
 		}
 		// Probe telemetry is counted per call, so it must not depend on
 		// how the keys were grouped into calls.
 		if ss, bs := single.Stats(), batched.Stats(); ss != bs {
-			t.Fatalf("%s: Stats %+v (single) vs %+v (batched)", name, ss, bs)
-		} else if name == "hash" && (ss.Probes == 0 || ss.MaxProbe == 0) {
-			t.Fatalf("hash: no probes counted over %d states: %+v", ss.States, ss)
+			t.Fatalf("%s: Stats %+v (single) vs %+v (batched)", tc.name, ss, bs)
+		} else if tc.name != "dense" && (ss.Probes == 0 || ss.MaxProbe == 0 || ss.Capacity <= hashInitialSlots<<shardBits) {
+			t.Fatalf("%s: no probes counted or no shard grown over %d states: %+v", tc.name, ss.States, ss)
 		}
 	}
 }

@@ -9,7 +9,10 @@
 //   - a sharded-hash store for wide states: 2^shardBits linear-probing
 //     shards whose slots carry a hash tag beside the ID, over key pages
 //     that never move. Finding an interned key takes no lock and writes no
-//     shared memory; only an insert takes its shard's lock.
+//     shared memory; only an insert takes its shard's lock. A batch is
+//     looked up a window at a time, all home slots loaded before any is
+//     examined, so the cache misses of a store larger than the cache
+//     overlap.
 //
 // On top of the stores sit a bounded-worker BFS driver (Run), a symmetry
 // quotient that canonicalizes states modulo the graph's order-preserving
@@ -430,8 +433,10 @@ func (s *hashShard) rehash(w int) {
 
 // Hash is the sharded-hash store: 2^shardBits hashShards, owned by the
 // high hash bits. A key that is already interned resolves without a lock;
-// only a miss takes its shard's lock. IDs encode
-// (local index << shardBits) | shard.
+// only a miss takes its shard's lock. InternBatch looks keys up in two
+// phases over windows of internWindow keys — load every home slot, then
+// resolve — so that on a store larger than the cache the slot misses of a
+// window overlap. IDs encode (local index << shardBits) | shard.
 type Hash struct {
 	wpk    int
 	shards [1 << shardBits]hashShard
@@ -458,12 +463,11 @@ func (h *Hash) Words() int { return h.wpk }
 // Lossy returns false: the hash store is exact.
 func (h *Hash) Lossy() bool { return false }
 
-// intern resolves one key: a lock-free find in its ownership shard, and on
-// a miss the locked insert. It adds the occupied slots it inspected to
-// *probes and raises *longest. A miss counts only the locked re-probe's
-// chain, so no chain is counted twice.
-func (h *Hash) intern(key []uint64, probes, longest *int64) (int32, bool, error) {
-	hv := enc.Hash(key)
+// intern resolves one key with hash hv: a lock-free find in its ownership
+// shard, and on a miss the locked insert. It adds the occupied slots it
+// inspected to *probes and raises *longest. A miss counts only the locked
+// re-probe's chain, so no chain is counted twice.
+func (h *Hash) intern(key []uint64, hv uint64, probes, longest *int64) (int32, bool, error) {
 	// Shard by the HIGH hash bits: the shard index probes from the low
 	// bits, so taking ownership from them too would leave every key in a
 	// shard sharing its low bits and collapse the home slots to every
@@ -504,25 +508,60 @@ func (h *Hash) countProbes(probes, longest int64) {
 // Intern adds key to its ownership shard.
 func (h *Hash) Intern(key []uint64) (int32, bool, error) {
 	var probes, longest int64
-	id, fresh, err := h.intern(key, &probes, &longest)
+	id, fresh, err := h.intern(key, enc.Hash(key), &probes, &longest)
 	h.countProbes(probes, longest)
 	return id, fresh, err
 }
 
-// InternBatch interns len(ids) keys stored back to back in block. Each key
-// hashes once; a hit takes no lock, and a miss locks only its own shard
-// for its own insert. The probe telemetry reaches the shared counters once
-// per batch. IDs and freshness match what per-key Intern calls would
-// produce.
+// internWindow is how many keys InternBatch looks up ahead of resolving
+// them: the home-slot loads of one window are in flight together.
+const internWindow = 64
+
+// InternBatch interns len(ids) keys stored back to back in block, in
+// windows of internWindow keys and two phases per window. Phase one hashes
+// each key and loads its home slot; nothing in that loop branches on a
+// loaded value, so the cache misses of a window overlap instead of being
+// taken one after another. Phase two settles every key found in its home
+// slot (tag and key match) with one key comparison, and hands every other
+// key — empty or displaced home slot, tag or key mismatch — to intern with
+// the hash already computed, which probes without a lock and locks only
+// its own shard for an insert. The probe telemetry reaches the shared
+// counters once per batch.
+//
+// IDs, freshness and probe counts match what per-key Intern calls would
+// produce. A slot loaded before an earlier key of the window was inserted
+// can only miss (slots only gain entries), sending its key down the
+// per-key path; and a key in its home slot of a slot array that a rehash
+// has since replaced is in its home slot of the new array too, where the
+// per-key path would also walk no chain: growth doubles the array and
+// refills it in ID order, the order the keys were inserted in, and a
+// slot occupied in the doubled array is then occupied in the old one at
+// the same index modulo its size, so no key's displacement grows.
 func (h *Hash) InternBatch(block []uint64, ids []int32, fresh []bool) error {
 	var (
 		probes, longest int64
 		err             error
+		hv, home        [internWindow]uint64
 	)
-	for i := range ids {
-		ids[i], fresh[i], err = h.intern(block[i*h.wpk:(i+1)*h.wpk], &probes, &longest)
-		if err != nil {
-			break
+	w := h.wpk
+	for lo := 0; lo < len(ids) && err == nil; lo += internWindow {
+		n := min(internWindow, len(ids)-lo)
+		for j := 0; j < n; j++ {
+			x := enc.Hash(block[(lo+j)*w : (lo+j+1)*w])
+			t := h.shards[x>>(64-shardBits)].slots.Load()
+			hv[j], home[j] = x, t.s[x&t.mask].Load()
+		}
+		for j := 0; j < n; j++ {
+			i, x, v := lo+j, hv[j], home[j]
+			key := block[i*w : (i+1)*w]
+			owner := int32(x >> (64 - shardBits))
+			if v != 0 && v&^slotIDMask == x&^slotIDMask && keysEqual(h.shards[owner].key(slotLocal(v), w), key) {
+				ids[i], fresh[i] = slotLocal(v)<<shardBits|owner, false
+				continue
+			}
+			if ids[i], fresh[i], err = h.intern(key, x, &probes, &longest); err != nil {
+				break
+			}
 		}
 	}
 	h.countProbes(probes, longest)

@@ -83,13 +83,21 @@ func stabilization(p *core.Protocol, x core.Input, r int, trackOutputs bool, opt
 	t1 := time.Now()
 	e.rankRows(rows)
 	t2 := time.Now()
-	comp, nComps := sccs(rows)
+	comp, nComps, changedInside := sccs(rows)
 	t3 := time.Now()
 	m.Gauge(MetricCSRNs).Set(int64(t1.Sub(t0)))
 	m.Gauge(MetricRankNs).Set(int64(t2.Sub(t1)))
 	m.Gauge(MetricSCCNs).Set(int64(t3.Sub(t2)))
 	m.Gauge(MetricSCCs).Set(int64(nComps))
-	violating, nViolating := violatingSCCs(rows, comp, nComps)
+	// Tarjan has decided the verdict; on a stabilizing run the edge log is
+	// not read again.
+	var (
+		violating  []bool
+		nViolating int
+	)
+	if changedInside {
+		violating, nViolating = violatingSCCs(rows, comp, nComps)
+	}
 	m.Gauge(MetricViolatingSCCs).Set(int64(nViolating))
 	m.Gauge(MetricQuotient).Set(int64(e.sym.Order()))
 	m.Gauge(MetricStates).Set(int64(total))
@@ -124,8 +132,15 @@ func (e *explorer) rankRows(rows [][]int32) {
 }
 
 // sccs runs iterative Tarjan over the ranked rows (rankRows) and returns
-// the component index of every state plus the component count.
-func sccs(rows [][]int32) ([]int32, int) {
+// the component index of every state, the component count, and whether
+// some section-changing edge lies inside a component — the verdict of the
+// violation criterion (see stabilization), decided on the way from two
+// Tarjan facts. An edge v→u examined while u is on the stack joins v's
+// component (u's root is still an ancestor of v, so u reaches v); one to a
+// visited u off the stack leaves it (u's component is complete). A tree
+// edge p→v stays inside p's component exactly when v is not a root,
+// i.e. low[v] != index[v] when v returns.
+func sccs(rows [][]int32) ([]int32, int, bool) {
 	const unvisited = -1
 	nStates := len(rows)
 	index := make([]int32, nStates)
@@ -139,7 +154,12 @@ func sccs(rows [][]int32) ([]int32, int) {
 		stack   []int32
 		nComps  int
 		counter int32
+		// changed collects, in its edgeChanged bit, the entries of the
+		// edges found inside a component.
+		changed int32
 	)
+	// A frame's v carries, in its edgeChanged bit, the changed flag of the
+	// tree edge that led to it (clear for a start state).
 	type frame struct {
 		v    int32
 		next int32
@@ -155,25 +175,33 @@ func sccs(rows [][]int32) ([]int32, int) {
 		onStack[start] = true
 		for len(callStack) > 0 {
 			f := &callStack[len(callStack)-1]
-			row := rows[f.v]
+			fv := entryDst(f.v)
+			row := rows[fv]
 			if int(f.next) < len(row) {
-				u := entryDst(row[f.next])
+				d := row[f.next]
+				u := entryDst(d)
 				f.next++
 				if index[u] == unvisited {
 					index[u], low[u] = counter, counter
 					counter++
 					stack = append(stack, u)
 					onStack[u] = true
-					callStack = append(callStack, frame{u, 0})
-				} else if onStack[u] && index[u] < low[f.v] {
-					low[f.v] = index[u]
+					callStack = append(callStack, frame{d, 0})
+				} else if onStack[u] {
+					changed |= d
+					if index[u] < low[fv] {
+						low[fv] = index[u]
+					}
 				}
 				continue
 			}
-			v := f.v
+			v, in := fv, f.v
 			callStack = callStack[:len(callStack)-1]
 			if len(callStack) > 0 {
-				p := callStack[len(callStack)-1].v
+				p := entryDst(callStack[len(callStack)-1].v)
+				// low[v] < index[v] exactly when v is not a root: then the
+				// tree edge p→v stays inside p's component.
+				changed |= in & ((low[v] - index[v]) >> 31)
 				if low[v] < low[p] {
 					low[p] = low[v]
 				}
@@ -192,12 +220,13 @@ func sccs(rows [][]int32) ([]int32, int) {
 			}
 		}
 	}
-	return comp, nComps
+	return comp, nComps, entryChanged(changed)
 }
 
 // violatingSCCs marks the components that contain an internal
 // section-changing transition (see the violation criterion at
-// stabilization) and counts them.
+// stabilization) and counts them. It reads every edge again, so it runs
+// only when sccs found such a transition, to feed the witness pass.
 func violatingSCCs(rows [][]int32, comp []int32, nComps int) ([]bool, int) {
 	violating := make([]bool, nComps)
 	n := 0

@@ -80,5 +80,7 @@ func (l edgeLog) rank(store explore.Store, rows [][]int32, workers int) {
 // after it).
 func entryDst(d int32) int32 { return d & edgeDst }
 
-// entryChanged reports a row entry's section-change flag.
+// entryChanged reports a row entry's section-change flag. The flag is one
+// bit, so on entries OR'd together it reports whether any of them is
+// flagged; sccs accumulates its verdict that way.
 func entryChanged(d int32) bool { return d&edgeChanged != 0 }

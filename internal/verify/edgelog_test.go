@@ -203,8 +203,11 @@ func analyze(t *testing.T, p *core.Protocol, x core.Input, r int, outputs bool, 
 	a := analysis{e: e, total: e.store.Compact()}
 	a.rows = make([][]int32, a.total)
 	e.rankRows(a.rows)
-	comp, nComps := sccs(a.rows)
+	comp, nComps, changedInside := sccs(a.rows)
 	violating, nViolating := violatingSCCs(a.rows, comp, nComps)
+	if changedInside != (nViolating > 0) {
+		t.Fatalf("sccs reports a changed internal edge: %v, but %d violating SCCs", changedInside, nViolating)
+	}
 	a.comp, a.violating = comp, violating
 	if nViolating > 0 {
 		if a.witness, err = e.witness(a.total, comp, violating); err != nil {
@@ -408,9 +411,9 @@ func TestEdgeLogBudget(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			rows := make([][]int32, total)
 			e.rankRows(rows)
-			comp, nComps := sccs(rows)
-			if _, n := violatingSCCs(rows, comp, nComps); n != 0 {
-				t.Fatalf("store=%d workers=%d: %d violating SCCs on a stabilizing ring", st, w, n)
+			comp, nComps, changedInside := sccs(rows)
+			if _, n := violatingSCCs(rows, comp, nComps); n != 0 || changedInside {
+				t.Fatalf("store=%d workers=%d: %d violating SCCs (sccs flag %v) on a stabilizing ring", st, w, n, changedInside)
 			}
 			runtime.ReadMemStats(&after)
 			if alloc := int(after.TotalAlloc - before.TotalAlloc); alloc >= 4*edges {

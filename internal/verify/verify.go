@@ -32,7 +32,8 @@
 //     run, and the bitstate violation record and its checkpoint payload.
 //   - expand.go: the per-worker successor expander (subset DP).
 //   - edgelog.go: the edge log, the only code that knows its entry format.
-//   - analysis.go: rank, SCC, violating SCCs, witness, and the decision.
+//   - analysis.go: rank, SCC (which decides the verdict), violating SCCs,
+//     witness, and the decision.
 package verify
 
 import "stateless/internal/core"

@@ -281,6 +281,38 @@ func BenchmarkIntern(b *testing.B) {
 			})
 			b.ReportMetric(float64(blocks*count)*float64(b.N)/b.Elapsed().Seconds(), "succ/s")
 		})
+		// The batch hit path on a store the size of perfbench verify-raw's:
+		// 186,693 one-word keys in 4.1 MB of slots and key pages, more
+		// than a core's L2. The rows above intern keys that sit in L1, so
+		// only this row shows the slot and key-page misses that
+		// InternBatch's two-phase lookup overlaps. An iteration re-interns
+		// 2^18 keys drawn at random from the store, in blocks of 63.
+		const storeKeys, draws = 186693, 1 << 18
+		big := explore.NewHash(1)
+		rng := rand.New(rand.NewPCG(18, 2))
+		stored := make([]uint64, storeKeys)
+		for i := range stored {
+			stored[i] = rng.Uint64()
+			if _, _, err := big.Intern(stored[i : i+1]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		drawn := make([]uint64, draws)
+		for i := range drawn {
+			drawn[i] = stored[rng.IntN(storeKeys)]
+		}
+		b.Run(be.name+"/batch-l2", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < draws; k += count {
+					n := min(count, draws-k)
+					if err := big.InternBatch(drawn[k:k+n], ids[:n], fresh[:n]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(draws)*float64(b.N)/b.Elapsed().Seconds(), "succ/s")
+		})
 	}
 }
 

@@ -35,7 +35,12 @@
 #                  and round-robin on a 64-node ring, which guard
 #                  single-run step throughput, the last through the
 #                  schedule-to-daemon generation path — see
-#                  microbench_test.go). Each row is sized by
+#                  microbench_test.go; Intern/hash/batch-l2: the batch hit
+#                  path on a store larger than L2, where InternBatch's
+#                  two-phase lookup overlaps the cache misses; SCC: edges/s
+#                  of the verifier's Tarjan pass over the ranked rows of
+#                  SaturatingRing(6,3) at r = 3, in internal/verify's
+#                  analysis_test.go). Each row is sized by
 #                  time, not iterations (MICROBENCHTIME per run), run
 #                  three times, and the median run is recorded.
 #
@@ -103,10 +108,10 @@ MACRO=$(go test -run '^$' -bench BenchmarkVerifyStatesGraph \
 # name <TAB> succ/s per micro-benchmark (per-stage hot-path throughput):
 # the median of three time-sized runs, rows in benchmark order.
 MICRO=$(go test -run '^$' \
-  -bench '^(BenchmarkStep|BenchmarkPack|BenchmarkCanonicalize|BenchmarkIntern|BenchmarkDES|BenchmarkGraphNew|BenchmarkSimSync)$' \
-  -benchtime "$MICROBENCHTIME" -count 3 . |
+  -bench '^(BenchmarkStep|BenchmarkPack|BenchmarkCanonicalize|BenchmarkIntern|BenchmarkDES|BenchmarkGraphNew|BenchmarkSimSync|BenchmarkSCC)$' \
+  -benchtime "$MICROBENCHTIME" -count 3 . ./internal/verify |
   awk '
-    /^Benchmark(Step|Pack|Canonicalize|Intern|DES|GraphNew|SimSync)\// {
+    /^Benchmark(Step|Pack|Canonicalize|Intern|DES|GraphNew|SimSync|SCC)\// {
       name = $1
       sub(/^Benchmark/, "", name)
       sub(/-[0-9]+$/, "", name)
