@@ -1,6 +1,8 @@
 package explore
 
 import (
+	"math/bits"
+
 	"stateless/internal/core"
 	"stateless/internal/enc"
 	"stateless/internal/graph"
@@ -36,9 +38,12 @@ import (
 //     packed words. A w-word state gets w² tables of [8][256]uint64, table
 //     (i, o) mapping input word i to its contribution to output word o, so
 //     one application is 8·w² lookups ORed together;
-//   - element scan: a materialized group whose element tables fit
-//     scanBudget minimizes over the images under its |Γ|−1 non-identity
-//     elements (one-word states run through one flat loop);
+//   - element scan: a materialized group whose byte tables fit scanBudget
+//     minimizes over the images under its |Γ|−1 non-identity elements.
+//     One-word states of at most chunkMaxBits bits skip the byte applier:
+//     the key splits once into four chunks of ⌈bits/4⌉ bits, and each
+//     element's image is 4 lookups ORed together in chunk tables (see
+//     Symmetry.chunks), when those fit scanBudget too;
 //   - orbit BFS: any other group keeps tables for its generators only and
 //     visits each orbit element once, from the state through generator
 //     images. The orbit is at most |Γ| states, and the group is never
@@ -56,13 +61,25 @@ type Symmetry struct {
 	// non-identity element (scan) or of every non-identity generator
 	// (BFS). tables[(a·w+i)·w+o][b][v] is the contribution of byte b of
 	// input word i, holding value v, to output word o of automorphism a's
-	// image.
+	// image. Nil when chunks serve the element scan.
 	tables [][8][256]uint64
+	// chunks holds the one-word element scan's chunk tables, or nil.
+	// With e non-identity elements and chunk width cw = chunkBits, the
+	// image of chunk c (key bits [c·cw, (c+1)·cw)) holding value x under
+	// element a is chunks[(c<<cw|x)·e+a]: the e images of one chunk value
+	// sit side by side, so a key reads four runs of e words.
+	chunks    []uint64
+	chunkBits uint
 }
 
-// scanBudget caps the element scan's tables at 2 MiB, counted in 16 KiB
-// byte tables: 128 one-word elements. Past it the orbit BFS runs instead.
-const scanBudget = 128
+// scanBudget caps the element scan's tables at 2 MiB: 128 one-word
+// elements' 16 KiB byte tables. Past it the orbit BFS runs instead. The
+// chunk tables must fit it too; where they do not, the byte tables serve.
+const scanBudget = 2 << 20
+
+// chunkMaxBits is the widest one-word key the chunk tables serve: four
+// chunks of 11 bits, 64 KiB of tables per element.
+const chunkMaxBits = 44
 
 // NewSymmetry builds the quotient context for (p, x) states packed by
 // codec, or returns nil when quotienting is unsound or trivial (invariant
@@ -92,11 +109,18 @@ func NewSymmetry(p *core.Protocol, x core.Input, codec *enc.Codec) *Symmetry {
 	s := &Symmetry{codec: codec, group: sub}
 	w := codec.Words()
 	auts := sub.Generators() // non-identity by construction
-	if elems := sub.Elements(); elems != nil && len(elems)*w*w <= scanBudget {
+	if elems := sub.Elements(); elems != nil && len(elems)*w*w*byteTableBytes <= scanBudget {
 		s.scan, auts = true, nil
 		for _, a := range elems {
 			if !a.IsIdentity() {
 				auts = append(auts, a)
+			}
+		}
+		if b := codec.Bits(); w == 1 && b <= chunkMaxBits {
+			cw := uint(b+3) / 4
+			if len(auts)*(4<<cw)*8 <= scanBudget {
+				s.chunks, s.chunkBits = chunkTables(codec, auts, cw), cw
+				return s
 			}
 		}
 	}
@@ -104,36 +128,69 @@ func NewSymmetry(p *core.Protocol, x core.Input, codec *enc.Codec) *Symmetry {
 	return s
 }
 
-// buildTables compiles each automorphism to its w² byte tables: label field
-// e lands at Edge[e], countdown and output fields v land at Node[v].
+// byteTableBytes is the size of one [8][256]uint64 byte table.
+const byteTableBytes = 8 * 256 * 8
+
+// moveBits calls move(from, to) for every state bit: automorphism a
+// carries bit from of a packed state to bit to of its image. Label field e
+// lands at Edge[e], countdown and output fields v land at Node[v].
+func moveBits(c *enc.Codec, a *graph.Automorphism, move func(from, to int)) {
+	field := func(src, dst, width int) {
+		for j := 0; j < width; j++ {
+			move(src+j, dst+j)
+		}
+	}
+	for e := 0; e < c.M(); e++ {
+		field(c.LabelOffset(e), c.LabelOffset(int(a.Edge[e])), c.LabelFieldBits())
+	}
+	for v := 0; v < c.N(); v++ {
+		field(c.CountdownOffset(v), c.CountdownOffset(int(a.Node[v])), c.CountdownFieldBits())
+		if c.HasOutputs() {
+			field(c.OutputOffset(v), c.OutputOffset(int(a.Node[v])), 1)
+		}
+	}
+}
+
+// buildTables compiles each automorphism to its w² byte tables.
 func buildTables(c *enc.Codec, auts []graph.Automorphism) [][8][256]uint64 {
 	w := c.Words()
 	tables := make([][8][256]uint64, len(auts)*w*w)
 	for ai := range auts {
-		a := &auts[ai]
-		// move relocates the width-bit field at bit offset src to dst.
-		move := func(src, dst, width int) {
-			for j := 0; j < width; j++ {
-				from, to := src+j, dst+j
-				tab := &tables[(ai*w+from>>6)*w+to>>6]
-				for v := 0; v < 256; v++ {
-					if v>>(from&7)&1 != 0 {
-						tab[from>>3&7][v] |= 1 << uint(to&63)
-					}
+		moveBits(c, &auts[ai], func(from, to int) {
+			tab := &tables[(ai*w+from>>6)*w+to>>6]
+			for v := 0; v < 256; v++ {
+				if v>>(from&7)&1 != 0 {
+					tab[from>>3&7][v] |= 1 << uint(to&63)
 				}
 			}
-		}
-		for e := 0; e < c.M(); e++ {
-			move(c.LabelOffset(e), c.LabelOffset(int(a.Edge[e])), c.LabelFieldBits())
-		}
-		for v := 0; v < c.N(); v++ {
-			move(c.CountdownOffset(v), c.CountdownOffset(int(a.Node[v])), c.CountdownFieldBits())
-			if c.HasOutputs() {
-				move(c.OutputOffset(v), c.OutputOffset(int(a.Node[v])), 1)
+		})
+	}
+	return tables
+}
+
+// chunkTables compiles one-word automorphisms to the element scan's chunk
+// tables of width cw, laid out as Symmetry.chunks describes. An entry is
+// the entry of its chunk value with the lowest set bit cleared, ORed with
+// that bit's image, so each run of e images costs e ORs.
+func chunkTables(c *enc.Codec, auts []graph.Automorphism, cw uint) []uint64 {
+	e := len(auts)
+	// bitImg[j·e+a] is the image of key bit j under element a.
+	bitImg := make([]uint64, 4*int(cw)*e)
+	for a := range auts {
+		moveBits(c, &auts[a], func(from, to int) { bitImg[from*e+a] = 1 << uint(to) })
+	}
+	chunks := make([]uint64, 4<<cw*e)
+	for ch := 0; ch < 4; ch++ {
+		for x := 1; x < 1<<cw; x++ {
+			row := chunks[(ch<<cw|x)*e:][:e]
+			prev := chunks[(ch<<cw|x&(x-1))*e:][:e]
+			img := bitImg[(ch*int(cw)+bits.TrailingZeros(uint(x)))*e:][:e]
+			for a := range row {
+				row[a] = prev[a] | img[a]
 			}
 		}
 	}
-	return tables
+	return chunks
 }
 
 // Order returns the order of the quotient group (≥ 2 for non-nil Symmetry).
@@ -215,13 +272,30 @@ func (c *Canon) Canonicalize(key []uint64) []uint64 {
 
 // CanonicalizeBatch rewrites count keys, packed back to back in block, to
 // their orbit minima — the batch counterpart of Canonicalize. One-word
-// element scans run the whole block through one flat loop over the byte
-// tables (the table slice header and bounds are hoisted out of the
+// element scans run the whole block through one flat loop over the chunk
+// or byte tables (the table slice header and bounds are hoisted out of the
 // per-state work); the other cases minimize key by key.
 func (c *Canon) CanonicalizeBatch(block []uint64, count int) {
 	s := c.s
 	w := s.codec.Words()
 	switch {
+	case s.chunks != nil:
+		t, cw := s.chunks, s.chunkBits
+		e := len(t) >> (cw + 2)
+		mask := uint64(1)<<cw - 1
+		keys := block[:count]
+		for i, k := range keys {
+			// The four runs of e images, one per chunk of k.
+			r0 := t[int(k&mask)*e:][:e]
+			r1 := t[int(1<<cw|k>>cw&mask)*e:][:e]
+			r2 := t[int(2<<cw|k>>(2*cw)&mask)*e:][:e]
+			r3 := t[int(3<<cw|k>>(3*cw)&mask)*e:][:e]
+			best := k
+			for a, img := range r0 {
+				best = min(best, img|r1[a]|r2[a]|r3[a])
+			}
+			keys[i] = best
+		}
 	case s.scan && w == 1:
 		tables := s.tables
 		for i := 0; i < count; i++ {

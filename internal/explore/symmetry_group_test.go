@@ -122,35 +122,56 @@ func refApply(codec *enc.Codec, a graph.Automorphism, labels core.Labeling, cd [
 }
 
 // TestOrbitMinMatchesBruteForce cross-checks both minimizers — element
-// scan and orbit BFS, over one- and two-word states — against minimization
-// over the fully materialized group on random states. Rows are named
-// topology/minimizer (tables: element scan, gen-bfs: orbit BFS), with a -2w
-// suffix for two-word states; each row pins the minimizer and width
-// NewSymmetry picks for it. The ring rows quotient a merely uniform
-// protocol by its order-preserving rotations. Every row tracks outputs.
+// scan and orbit BFS, over one- and two-word states — and both element-scan
+// kernels — chunk and byte tables — against minimization over the fully
+// materialized group on random states. Rows are named topology/minimizer
+// (tables: element scan, gen-bfs: orbit BFS, chunk: element scan over
+// chunk tables), with a -2w suffix for two-word states; each row pins the
+// minimizer, width, key bits and chunk width NewSymmetry picks for it. The
+// ring rows quotient a merely uniform protocol by its order-preserving
+// rotations. Every row but saturating-ring10 tracks outputs.
 func TestOrbitMinMatchesBruteForce(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		g       *graph.Graph
 		q       uint64
 		r       int
+		outputs bool
 		uniform bool // uniform, not symmetric: order-preserving group only
 		scan    bool // element scan; otherwise orbit BFS
 		words   int
+		bits    int  // codec.Bits()
+		chunk   uint // chunk width of the chunk tables; 0: byte tables
 	}{
-		// One word, |Γ| ≤ 128: element scan.
-		{"ring3/tables", graph.Ring(3), 3, 3, true, true, 1},
-		{"ring5/tables", graph.Ring(5), 3, 3, true, true, 1},
-		{"ring7/tables", graph.Ring(7), 3, 3, true, true, 1},
-		{"bidir-ring5/tables", graph.BidirectionalRing(5), 2, 2, false, true, 1},
-		{"cube3/tables", graph.Hypercube(3), 2, 2, false, true, 1},
-		{"torus3x3/tables", graph.Torus(3, 3), 2, 1, false, true, 1},
+		// One word of at most 44 bits, element tables within 2 MiB:
+		// element scan over chunk tables of ⌈bits/4⌉ bits. ring3, ring5
+		// and ring7 leave their last chunk partly empty.
+		{"ring3/tables", graph.Ring(3), 3, 3, true, true, true, 1, 15, 4},
+		{"ring5/tables", graph.Ring(5), 3, 3, true, true, true, 1, 25, 7},
+		{"ring7/tables", graph.Ring(7), 3, 3, true, true, true, 1, 35, 9},
+		{"bidir-ring5/tables", graph.BidirectionalRing(5), 2, 2, true, false, true, 1, 25, 7},
+		// At most 8 bits: four 2-bit chunks.
+		{"ring2/chunk-8b", graph.Ring(2), 3, 1, true, true, true, 1, 8, 2},
+		// perfbench verify-bitstate's key: the uniform ring protocol on
+		// Ring(10) with |Σ| = 3 and r = 2, without outputs, packs the same
+		// 40 bits as SaturatingRing(10,3) and gets the same 10 rotations.
+		{"saturating-ring10/chunk", graph.Ring(10), 3, 2, false, true, true, 1, 40, 10},
+		// Just below and at the threshold: 11-bit chunks.
+		{"ring14/chunk-42b", graph.Ring(14), 2, 1, true, true, true, 1, 42, 11},
+		{"ring11/chunk-44b", graph.Ring(11), 3, 1, true, true, true, 1, 44, 11},
+		// One word past 44 bits: element scan over byte tables.
+		{"ring9/tables-45b", graph.Ring(9), 3, 2, true, true, true, 1, 45, 0},
+		{"cube3/tables", graph.Hypercube(3), 2, 2, true, false, true, 1, 48, 0},
+		{"torus3x3/tables", graph.Torus(3, 3), 2, 1, true, false, true, 1, 54, 0},
+		// 40 bits, but 119 elements' chunk tables (3.7 MiB) exceed 2 MiB
+		// while their byte tables fit: element scan over byte tables.
+		{"clique5/tables-40b", graph.Clique(5), 2, 4, true, false, true, 1, 40, 0},
 		// One word, |Γ| = 720: orbit BFS.
-		{"clique6/gen-bfs", graph.Clique(6), 2, 1, false, false, 1},
+		{"clique6/gen-bfs", graph.Clique(6), 2, 1, true, false, false, 1, 42, 0},
 		// Two words, |Γ| = 9: element scan.
-		{"torus3x3-q4/tables-2w", graph.Torus(3, 3), 4, 2, false, true, 2},
+		{"torus3x3-q4/tables-2w", graph.Torus(3, 3), 4, 2, true, false, true, 2, 99, 0},
 		// Two words, |Γ| = 384: orbit BFS.
-		{"cube4/gen-bfs-2w", graph.Hypercube(4), 2, 1, false, false, 2},
+		{"cube4/gen-bfs-2w", graph.Hypercube(4), 2, 1, true, false, false, 2, 96, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := symmetricProtocol(t, tc.g, tc.q)
@@ -163,13 +184,18 @@ func TestOrbitMinMatchesBruteForce(t *testing.T) {
 				}
 			}
 			n, m := tc.g.N(), tc.g.M()
-			codec := enc.NewStateCodec(p.Space(), m, n, tc.r, true)
+			codec := enc.NewStateCodec(p.Space(), m, n, tc.r, tc.outputs)
 			sym := NewSymmetry(p, make(core.Input, n), codec)
 			if sym == nil {
 				t.Fatal("expected a non-trivial quotient")
 			}
-			if sym.scan != tc.scan || codec.Words() != tc.words {
-				t.Fatalf("scan = %v over %d words, want %v over %d", sym.scan, codec.Words(), tc.scan, tc.words)
+			if sym.scan != tc.scan || codec.Words() != tc.words || codec.Bits() != tc.bits {
+				t.Fatalf("scan = %v over %d words of %d bits, want %v over %d of %d",
+					sym.scan, codec.Words(), codec.Bits(), tc.scan, tc.words, tc.bits)
+			}
+			if sym.chunkBits != tc.chunk || (sym.chunks != nil) != (tc.chunk > 0) || (sym.tables != nil) != (tc.chunk == 0) {
+				t.Fatalf("chunk width %d (chunk tables %v, byte tables %v), want %d",
+					sym.chunkBits, sym.chunks != nil, sym.tables != nil, tc.chunk)
 			}
 			elems := sym.Group().Elements()
 			if elems == nil {
@@ -189,7 +215,9 @@ func TestOrbitMinMatchesBruteForce(t *testing.T) {
 				}
 				for v := range cd {
 					cd[v] = uint8(rng.IntN(tc.r + 1))
-					outs[v] = core.Bit(rng.IntN(2))
+					if tc.outputs {
+						outs[v] = core.Bit(rng.IntN(2))
+					}
 				}
 				key := codec.Pack(labels, cd, outs, nil)
 				got := append([]uint64(nil), key...)
@@ -310,6 +338,56 @@ func FuzzOrbitMinMultiWord(f *testing.F) {
 		}
 		if got[0] != best[0] || got[1] != best[1] {
 			t.Fatalf("canonical %x, translation brute-force minimum %x", got, best)
+		}
+	})
+}
+
+// FuzzCanonicalizeRing10 fuzzes the chunk-table element scan on perfbench
+// verify-bitstate's key shape: arbitrary states of a |Σ| = 3 uniform
+// protocol on Ring(10) at r = 2 without outputs (40 bits, four 10-bit
+// chunks) must canonicalize to the minimum over all ten rotations, each
+// packed by Codec.Pack from the rotated labels and countdowns.
+func FuzzCanonicalizeRing10(f *testing.F) {
+	f.Add(uint32(0), uint32(0))
+	f.Add(uint32(0x2ad31), uint32(0x9a5e7))
+	f.Add(^uint32(0), ^uint32(0))
+	const n, q, r = 10, 3, 2
+	g := graph.Ring(n)
+	p, err := core.NewUniformProtocol(g, core.MustLabelSpace(q),
+		func(in []core.Label, _ core.Bit, out []core.Label) core.Bit { out[0] = in[0]; return 0 })
+	if err != nil {
+		f.Fatal(err)
+	}
+	codec := enc.NewStateCodec(p.Space(), n, n, r, false)
+	sym := NewSymmetry(p, make(core.Input, n), codec)
+	if sym.Order() != n || codec.Bits() != 40 || sym.chunkBits != 10 {
+		f.Fatalf("|Γ| = %d over %d bits, chunk width %d; want %d over 40, 10",
+			sym.Order(), codec.Bits(), sym.chunkBits, n)
+	}
+	f.Fuzz(func(t *testing.T, rawLabels, rawCd uint32) {
+		labels := make(core.Labeling, n)
+		cd := make([]uint8, n)
+		for i := 0; i < n; i++ {
+			labels[i] = core.Label(rawLabels >> (2 * i) & 3 % q)
+			cd[i] = uint8(rawCd >> (2 * i) & 3 % (r + 1))
+		}
+		key := codec.Pack(labels, cd, nil, nil)
+		got := append([]uint64(nil), key...)
+		sym.NewCanon().Canonicalize(got)
+		rl := make(core.Labeling, n)
+		rcd := make([]uint8, n)
+		best := append([]uint64(nil), key...)
+		for s := 1; s < n; s++ {
+			for i := 0; i < n; i++ {
+				rl[(i+s)%n] = labels[i]
+				rcd[(i+s)%n] = cd[i]
+			}
+			if cand := codec.Pack(rl, rcd, nil, nil); wordsLess(cand, best) {
+				copy(best, cand)
+			}
+		}
+		if got[0] != best[0] {
+			t.Fatalf("canonical %x, brute-force rotation minimum %x", got, best)
 		}
 	})
 }

@@ -22,8 +22,9 @@ import (
 // verifier's subset DP replaces; Canonicalize and Intern compare a
 // single-call with a batched variant. All stages run the E1 ring workload
 // (n = 6, r = 3, |Σ| = 3, single-word 24-bit states): one state's successor
-// batch is its 2^n − 1 = 63 admissible activation sets. scripts/bench.sh
-// records these under "micro" in BENCH_verify.json.
+// batch is its 2^n − 1 = 63 admissible activation sets. Canonicalize and
+// Intern add rows at other sizes, named after their instance.
+// scripts/bench.sh records these under "micro" in BENCH_verify.json.
 
 const microRingN = 6
 
@@ -120,8 +121,10 @@ func BenchmarkPack(b *testing.B) {
 
 // BenchmarkCanonicalize measures symmetry canonicalization. The ring rows
 // (the n rotations, one-word element scan) compare Canon.Canonicalize per
-// key with one Canon.CanonicalizeBatch over the block. The zoo rows cover
-// the other minimizer × width combinations, batched: SaturatingNet on
+// key with one Canon.CanonicalizeBatch over the block; ring10/scan-1w
+// batches perfbench verify-bitstate's 40-bit keys over the 10 rotations.
+// All three read chunk tables. The zoo rows cover the other minimizer ×
+// width combinations, batched: SaturatingNet on
 // Clique(6) (|Γ| = 720, one-word orbit BFS), on Torus(3,3) with |Σ| = 4
 // (|Γ| = 9, two-word element scan) and on Hypercube(4) (|Γ| = 384,
 // two-word orbit BFS). Keys are canonical after the first pass; the
@@ -157,6 +160,28 @@ func BenchmarkCanonicalize(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			canon.CanonicalizeBatch(block, count)
+		}
+		b.ReportMetric(float64(count)*float64(b.N)/b.Elapsed().Seconds(), "succ/s")
+	})
+
+	// perfbench verify-bitstate's keys: SaturatingRing(10,3) at r = 2, 40
+	// bits with no outputs, minimized over the 10 rotations.
+	rp, err := protocols.SaturatingRing(10, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rcodec := enc.NewStateCodec(rp.Space(), 10, 10, 2, false)
+	rsym := explore.NewSymmetry(rp, make(core.Input, 10), rcodec)
+	if rsym.Order() != 10 || rcodec.Bits() != 40 {
+		b.Fatalf("ring10: |Γ| = %d over %d bits, want 10 over 40", rsym.Order(), rcodec.Bits())
+	}
+	rlabels, rcds, _ := microRows(count, 10, 10, 2, 3)
+	rblock := microBlock(rcodec, count, rlabels, rcds)
+	b.Run("ring10/scan-1w", func(b *testing.B) {
+		canon := rsym.NewCanon()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			canon.CanonicalizeBatch(rblock, count)
 		}
 		b.ReportMetric(float64(count)*float64(b.N)/b.Elapsed().Seconds(), "succ/s")
 	})
@@ -198,9 +223,10 @@ func BenchmarkCanonicalize(b *testing.B) {
 	}
 }
 
-// BenchmarkIntern measures visited-set interning on both store backends:
-// Store.Intern per key versus one Store.InternBatch per block, plus the
-// hash store's batch path from parallel goroutines. The block
+// BenchmarkIntern measures visited-set interning on the exact store
+// backends: Store.Intern per key versus one Store.InternBatch per block,
+// plus the hash store's batch path from parallel goroutines and on a store
+// larger than L2, and the bitstate store's batch path. The block
 // is interned once up front, so the measured path is the steady-state
 // re-intern (hit) path that dominates a BFS, where most successors are
 // already visited.
@@ -314,6 +340,39 @@ func BenchmarkIntern(b *testing.B) {
 			b.ReportMetric(float64(draws)*float64(b.N)/b.Elapsed().Seconds(), "succ/s")
 		})
 	}
+
+	// The bitstate batch hit path at perfbench verify-bitstate's size: a
+	// 2^24-bit (2 MiB) array, k = 3, holding that instance's 217,563
+	// states. An iteration re-interns 2^18 keys drawn at random from the
+	// stored ones, in blocks of 63; each key reads k bit words.
+	const bitKeys, bitDraws = 217563, 1 << 18
+	bs := explore.NewBitstate(1, 24, 3)
+	rng := rand.New(rand.NewPCG(24, 3))
+	bstored := make([]uint64, bitKeys)
+	for i := range bstored {
+		bstored[i] = rng.Uint64() >> 24 // 40-bit keys, as the instance's
+		if _, _, err := bs.Intern(bstored[i : i+1]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	bdrawn := make([]uint64, bitDraws)
+	for i := range bdrawn {
+		bdrawn[i] = bstored[rng.IntN(bitKeys)]
+	}
+	ids := make([]int32, count)
+	fresh := make([]bool, count)
+	b.Run("bitstate/batch", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for k := 0; k < bitDraws; k += count {
+				n := min(count, bitDraws-k)
+				if err := bs.InternBatch(bdrawn[k:k+n], ids[:n], fresh[:n]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(bitDraws)*float64(b.N)/b.Elapsed().Seconds(), "succ/s")
+	})
 }
 
 // BenchmarkDES measures the discrete-event runtime's activation

@@ -37,7 +37,12 @@
 #                  schedule-to-daemon generation path — see
 #                  microbench_test.go; Intern/hash/batch-l2: the batch hit
 #                  path on a store larger than L2, where InternBatch's
-#                  two-phase lookup overlaps the cache misses; SCC: edges/s
+#                  two-phase lookup overlaps the cache misses;
+#                  Canonicalize/ring10/scan-1w and Intern/bitstate/batch:
+#                  the two hot stages of perfbench verify-bitstate, its
+#                  40-bit keys minimized over |Γ| = 10 rotations by the
+#                  chunk-table element scan, and the bitstate hit path on
+#                  its 2^24-bit, k = 3 array; SCC: edges/s
 #                  of the verifier's Tarjan pass over the ranked rows of
 #                  SaturatingRing(6,3) at r = 3, in internal/verify's
 #                  analysis_test.go). Each row is sized by
